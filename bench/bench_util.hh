@@ -1,7 +1,10 @@
 /**
  * @file
- * Shared plumbing for the figure-reproduction harnesses: device lookup,
- * compile-and-execute helpers, and consistent run configuration.
+ * Shared plumbing for the figure-reproduction harnesses (device lookup,
+ * compile-and-execute helpers, consistent run configuration) and the
+ * one harness every micro_* bench runs on: a declarative flag parser,
+ * the rotated min-over-reps timer, the JSON report and the mapping
+ * from a bench's verdict to its exit code.
  *
  * Environment knobs:
  *   TRIQ_TRIALS       trials per success-rate measurement (default
@@ -16,12 +19,15 @@
 #define TRIQ_BENCH_BENCH_UTIL_HH
 
 #include <functional>
+#include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/compiler.hh"
 #include "device/machines.hh"
 #include "service/sweep.hh"
+#include "service/wire.hh"
 #include "sim/executor.hh"
 
 namespace triq
@@ -100,6 +106,134 @@ ExecutionResult runCompiled(const CompileResult &res, const Device &dev,
 
 /** Success-rate cell: "0.87" or "0.12*" when not modal (paper: failed). */
 std::string successCell(const ExecutionResult &ex);
+
+// ---------------------------------------------------------------------
+// The micro-bench harness.
+
+/**
+ * Declarative command-line parser. Each flag binds to a variable that
+ * already holds its default; parse() overwrites the variables of the
+ * flags it sees. An int, long, double or string flag takes one value;
+ * a bool flag is a switch (present = true); a vector<string> flag
+ * appends every occurrence; a vector<int> flag takes a comma-separated
+ * list that replaces the default. An unknown flag, a missing value or
+ * a malformed number is fatal.
+ */
+class Flags
+{
+  public:
+    explicit Flags(std::string prog) : prog_(std::move(prog)) {}
+
+    template <typename T>
+    Flags &
+    add(const std::string &name, T &dst)
+    {
+        specs_.push_back({name, &dst});
+        return *this;
+    }
+
+    void parse(int argc, char **argv) const;
+
+  private:
+    struct Spec
+    {
+        std::string name;
+        std::variant<int *, long *, double *, std::string *, bool *,
+                     std::vector<std::string> *, std::vector<int> *>
+            dst;
+    };
+
+    std::string prog_;
+    std::vector<Spec> specs_;
+};
+
+/**
+ * The micro benches' one timing protocol. `modes` competing
+ * configurations run for `reps` rounds with the order rotated every
+ * round (a fixed order biases whichever mode runs after a threaded one
+ * wakes the pool workers), and each mode keeps its minimum, so one-time
+ * effects (pool spawn, allocator warm-up) and scheduler noise cannot
+ * bias a single mode. `timed(mode)` is the timed work; `after(mode,
+ * rep)`, when given, runs untimed right after it (result checks).
+ * @return Per-mode minimum wall time in milliseconds.
+ */
+std::vector<double>
+rotatedMinMs(int modes, int reps, const std::function<void(int)> &timed,
+             const std::function<void(int, int)> &after = nullptr);
+
+/** The two bounds of a "candidate never loses to serial" gate. */
+struct LossGate
+{
+    double tolerance = 0.90;   //!< Minimum baseline/candidate ratio.
+    double noiseFloorMs = 1.0; //!< Losses below this are timer noise.
+};
+
+/**
+ * What a micro bench's checks found, and the exit code it maps to:
+ * 0 pass, 1 fatal (a FatalError escaped main), 4 breach, 5 warm
+ * recompile, 6 perf-gate failure. When several fire the lowest code
+ * wins, so a determinism breach is never reported as a mere perf
+ * regression. Every finding prints one line on stderr.
+ */
+class Verdict
+{
+  public:
+    static constexpr int kPass = 0;
+    static constexpr int kFatal = 1;
+    static constexpr int kBreach = 4;
+    static constexpr int kWarmRecompile = 5;
+    static constexpr int kGateFail = 6;
+
+    explicit Verdict(std::string prog) : prog_(std::move(prog)) {}
+
+    /**
+     * Exit 4: results diverged between modes, a search proved
+     * unsound, or micro_governor's hard admission ceiling broke.
+     */
+    void breach(const std::string &what) { record(kBreach, "BREACH", what); }
+
+    /** Exit 5: a warm pass over a filled cache compiled something. */
+    void
+    warmRecompile(const std::string &what)
+    {
+        record(kWarmRecompile, "WARM", what);
+    }
+
+    /** Exit 6: a perf gate failed. */
+    void gateFail(const std::string &what) { record(kGateFail, "GATE", what); }
+
+    /**
+     * The timing gate: exit 6 when `candidate_ms` loses to
+     * `baseline_ms` beyond both bounds of `gate` — the speedup
+     * baseline/candidate is below the tolerance AND the absolute loss
+     * is above the noise floor. A row with `gated` false (the planner
+     * kept it serial, so both timings ran the same code) only reports.
+     * @return false when the row failed the gate.
+     */
+    bool checkLoss(const LossGate &gate, const std::string &row,
+                   double baseline_ms, double candidate_ms,
+                   bool gated = true);
+
+    bool breached() const { return codes_.count(kBreach) > 0; }
+    bool gatePassed() const { return codes_.count(kGateFail) == 0; }
+    int exitCode() const { return codes_.empty() ? kPass : *codes_.begin(); }
+
+  private:
+    void record(int code, const char *tag, const std::string &what);
+
+    std::string prog_;
+    std::set<int> codes_; //!< Exit codes of the findings so far.
+};
+
+/**
+ * Write a bench's JSON report to stdout and, when `path` is non-empty,
+ * to `path` (fatal when it cannot be written).
+ */
+void writeReport(const std::string &prog, const JsonWriter &report,
+                 const std::string &path);
+
+/** `a / b`, or 0 when `b` is not positive (a missing timing). */
+double ratio(double a, double b);
 
 } // namespace bench
 } // namespace triq

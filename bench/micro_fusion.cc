@@ -15,17 +15,13 @@
  *   micro_fusion [--device NAME] [--trials N] [--threads N] [--reps N]
  *                [--bench NAME]... [--json FILE]
  *
- * Each configuration runs --reps times (default 3) and reports the
+ * Each configuration runs --reps times (default 3), rotated with the
+ * other configurations per bench_util's protocol, and reports the
  * fastest repetition, so one cold-cache or descheduled run does not
  * skew the speedup ratios. The engines are deterministic, so every
  * repetition produces the same histogram.
  */
 
-#include <chrono>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,29 +32,6 @@
 
 using namespace triq;
 
-namespace
-{
-
-double
-runMs(const Circuit &hw, const Device &dev, const Calibration &calib,
-      int trials, const ExecOptions &opts, ExecutionResult *out)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    ExecutionResult r = executeNoisy(hw, dev, calib, trials, 12345, opts);
-    auto t1 = std::chrono::steady_clock::now();
-    if (out)
-        *out = std::move(r);
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-struct ConfigTotals
-{
-    double ms = 0.0;
-    bool identical = true;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 try {
@@ -68,27 +41,14 @@ try {
     int trials = defaultTrials(1000);
     int threads = std::max(2, ThreadPool::hardwareThreads());
     int reps = 3;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_fusion: ", flag, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--device"))
-            device_name = need_value("--device");
-        else if (!std::strcmp(argv[i], "--bench"))
-            bench_names.push_back(need_value("--bench"));
-        else if (!std::strcmp(argv[i], "--trials"))
-            trials = std::atoi(need_value("--trials"));
-        else if (!std::strcmp(argv[i], "--threads"))
-            threads = std::atoi(need_value("--threads"));
-        else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
-        else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
-        else
-            fatal("micro_fusion: unknown argument '", argv[i], "'");
-    }
+    bench::Flags("micro_fusion")
+        .add("--device", device_name)
+        .add("--bench", bench_names)
+        .add("--trials", trials)
+        .add("--threads", threads)
+        .add("--reps", reps)
+        .add("--json", json_file)
+        .parse(argc, argv);
     if (trials < 1 || threads < 1 || reps < 1)
         fatal("micro_fusion: --trials, --threads and --reps must be "
               ">= 1");
@@ -104,107 +64,82 @@ try {
     struct Config
     {
         const char *name;
-        int fusion;
-        int dedup;
-        int threads;
+        ExecOptions opts;
     };
     const Config configs[] = {
-        {"baseline", -1, -1, 1},     {"fusion_only", 1, -1, 1},
-        {"dedup_only", -1, 1, 1},    {"fusion_dedup", 1, 1, 1},
-        {"fusion_dedup_threaded", 1, 1, threads},
+        {"baseline", {.threads = 1, .fusion = -1, .dedup = -1}},
+        {"fusion_only", {.threads = 1, .fusion = 1, .dedup = -1}},
+        {"dedup_only", {.threads = 1, .fusion = -1, .dedup = 1}},
+        {"fusion_dedup", {.threads = 1, .fusion = 1, .dedup = 1}},
+        {"fusion_dedup_threaded",
+         {.threads = threads, .fusion = 1, .dedup = 1}},
     };
-    constexpr size_t kNumConfigs = sizeof(configs) / sizeof(configs[0]);
+    constexpr int kNumConfigs = sizeof(configs) / sizeof(configs[0]);
 
-    ConfigTotals totals[kNumConfigs];
-    std::ostringstream rows;
-    bool all_identical = true;
-
-    for (size_t bi = 0; bi < bench_names.size(); ++bi) {
-        const std::string &name = bench_names[bi];
+    double total_ms[kNumConfigs] = {};
+    bench::Verdict verdict("micro_fusion");
+    JsonWriter json;
+    json.beginObject()
+        .key("device").value(device_name)
+        .key("day").value(day)
+        .key("trials").value(trials)
+        .key("threads").value(threads)
+        .key("reps").value(reps)
+        .key("benchmarks").beginArray();
+    for (const std::string &name : bench_names) {
         Circuit program = makeBenchmark(name);
         CompileOptions copts;
         copts.emitAssembly = false;
         CompileResult compiled =
             compileForDevice(program, dev, calib, copts);
 
-        double ms[kNumConfigs];
-        ExecutionResult res[kNumConfigs];
-        for (size_t ci = 0; ci < kNumConfigs; ++ci) {
-            ExecOptions opts;
-            opts.fusion = configs[ci].fusion;
-            opts.dedup = configs[ci].dedup;
-            opts.threads = configs[ci].threads;
-            ms[ci] = runMs(compiled.hwCircuit, dev, calib, trials, opts,
-                           &res[ci]);
-            for (int rep = 1; rep < reps; ++rep)
-                ms[ci] = std::min(
-                    ms[ci], runMs(compiled.hwCircuit, dev, calib, trials,
-                                  opts, nullptr));
-            totals[ci].ms += ms[ci];
-            bool same = res[ci].histogram == res[0].histogram &&
-                        res[ci].successRate == res[0].successRate;
-            totals[ci].identical = totals[ci].identical && same;
-            all_identical = all_identical && same;
+        ExecutionResult last, res[kNumConfigs];
+        const std::vector<double> ms = bench::rotatedMinMs(
+            kNumConfigs, reps,
+            [&](int ci) {
+                last = executeNoisy(compiled.hwCircuit, dev, calib,
+                                    trials, 12345, configs[ci].opts);
+            },
+            [&](int ci, int rep) {
+                if (rep == 0)
+                    res[ci] = std::move(last);
+            });
+        bool identical = true;
+        for (int ci = 0; ci < kNumConfigs; ++ci) {
+            total_ms[ci] += ms[static_cast<size_t>(ci)];
+            if (res[ci].histogram != res[0].histogram ||
+                res[ci].successRate != res[0].successRate) {
+                identical = false;
+                verdict.breach(name + ": " + configs[ci].name +
+                               " differs from the baseline");
+            }
         }
 
-        rows << "    {\n"
-             << "      \"benchmark\": \"" << name << "\",\n"
-             << "      \"baseline_ms\": " << ms[0] << ",\n"
-             << "      \"fusion_only_ms\": " << ms[1] << ",\n"
-             << "      \"dedup_only_ms\": " << ms[2] << ",\n"
-             << "      \"fusion_dedup_ms\": " << ms[3] << ",\n"
-             << "      \"fusion_dedup_threaded_ms\": " << ms[4] << ",\n"
-             << "      \"speedup\": "
-             << (ms[3] > 0.0 ? ms[0] / ms[3] : 0.0) << ",\n"
-             << "      \"faulty_trials\": "
-             << res[0].simulatedTrajectories << ",\n"
-             << "      \"distinct_patterns\": "
-             << res[3].simulatedTrajectories << ",\n"
-             << "      \"histograms_identical\": "
-             << (totals[1].identical && totals[2].identical &&
-                         totals[3].identical && totals[4].identical
-                     ? "true"
-                     : "false")
-             << "\n"
-             << "    }" << (bi + 1 < bench_names.size() ? "," : "")
-             << "\n";
+        json.beginObject()
+            .key("benchmark").value(name)
+            .key("baseline_ms").value(ms[0])
+            .key("fusion_only_ms").value(ms[1])
+            .key("dedup_only_ms").value(ms[2])
+            .key("fusion_dedup_ms").value(ms[3])
+            .key("fusion_dedup_threaded_ms").value(ms[4])
+            .key("speedup").value(bench::ratio(ms[0], ms[3]))
+            .key("faulty_trials").value(res[0].simulatedTrajectories)
+            .key("distinct_patterns").value(res[3].simulatedTrajectories)
+            .key("histograms_identical").value(identical)
+            .endObject();
     }
+    json.endArray();
+    for (int ci = 0; ci < kNumConfigs; ++ci)
+        json.key(std::string("total_") + configs[ci].name + "_ms")
+            .value(total_ms[ci]);
+    for (int ci = 1; ci < kNumConfigs; ++ci)
+        json.key(std::string(configs[ci].name) + "_speedup")
+            .value(bench::ratio(total_ms[0], total_ms[ci]));
+    json.key("identical_across_configs").value(!verdict.breached())
+        .endObject();
 
-    auto speedup = [&](size_t ci) {
-        return totals[ci].ms > 0.0 ? totals[0].ms / totals[ci].ms : 0.0;
-    };
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"device\": \"" << device_name << "\",\n"
-         << "  \"day\": " << day << ",\n"
-         << "  \"trials\": " << trials << ",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"benchmarks\": [\n"
-         << rows.str() << "  ],\n"
-         << "  \"total_baseline_ms\": " << totals[0].ms << ",\n"
-         << "  \"total_fusion_only_ms\": " << totals[1].ms << ",\n"
-         << "  \"total_dedup_only_ms\": " << totals[2].ms << ",\n"
-         << "  \"total_fusion_dedup_ms\": " << totals[3].ms << ",\n"
-         << "  \"total_fusion_dedup_threaded_ms\": " << totals[4].ms
-         << ",\n"
-         << "  \"fusion_only_speedup\": " << speedup(1) << ",\n"
-         << "  \"dedup_only_speedup\": " << speedup(2) << ",\n"
-         << "  \"fusion_dedup_speedup\": " << speedup(3) << ",\n"
-         << "  \"fusion_dedup_threaded_speedup\": " << speedup(4)
-         << ",\n"
-         << "  \"identical_across_configs\": "
-         << (all_identical ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_fusion: cannot write '", json_file, "'");
-        out << json.str();
-    }
-    return all_identical ? 0 : 4;
+    bench::writeReport("micro_fusion", json, json_file);
+    return verdict.exitCode();
 } catch (const FatalError &) {
-    return 1;
+    return bench::Verdict::kFatal;
 }

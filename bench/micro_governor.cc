@@ -17,7 +17,8 @@
  * The process exits 4 when the admission mean exceeds a lenient 10x
  * gate (500 us) — the targets themselves are reported as booleans in
  * the JSON so CI trends can flag soft regressions without making the
- * suite flaky on slow or throttled runners.
+ * suite flaky on slow or throttled runners. The plain and journaled
+ * sweeps follow bench_util's rotated min-over-reps protocol.
  *
  * Usage:
  *   micro_governor [--iters N] [--days N] [--reps N] [--json FILE]
@@ -26,10 +27,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -43,21 +42,6 @@
 
 using namespace triq;
 
-namespace
-{
-
-double
-sweepMs(const SweepConfig &cfg)
-{
-    CompileCache cache;
-    auto t0 = std::chrono::steady_clock::now();
-    runSweep(cfg, &cache);
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 try {
@@ -65,23 +49,12 @@ try {
     int days = 2;
     int reps = 3;
     std::string json_file;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_governor: ", flag, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--iters"))
-            iters = std::atoi(need_value("--iters"));
-        else if (!std::strcmp(argv[i], "--days"))
-            days = std::atoi(need_value("--days"));
-        else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
-        else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
-        else
-            fatal("micro_governor: unknown argument '", argv[i], "'");
-    }
+    bench::Flags("micro_governor")
+        .add("--iters", iters)
+        .add("--days", days)
+        .add("--reps", reps)
+        .add("--json", json_file)
+        .parse(argc, argv);
     if (iters < 1 || days < 1 || reps < 1)
         fatal("micro_governor: --iters, --days and --reps must be >= 1");
 
@@ -146,14 +119,15 @@ try {
         fatal("micro_governor: mkdtemp failed");
     std::string journal_path = std::string(journal_dir) + "/cells.jsonl";
 
-    double plain_ms = sweepMs(cfg);
     SweepConfig journaled = cfg;
     journaled.journalPath = journal_path;
-    double journal_ms = sweepMs(journaled);
-    for (int rep = 1; rep < reps; ++rep) {
-        plain_ms = std::min(plain_ms, sweepMs(cfg));
-        journal_ms = std::min(journal_ms, sweepMs(journaled));
-    }
+    const SweepConfig *mode_cfgs[2] = {&cfg, &journaled};
+    // A fresh cache per run, made outside the timed region.
+    auto cache = std::make_unique<CompileCache>();
+    const std::vector<double> ms = bench::rotatedMinMs(
+        2, reps, [&](int m) { runSweep(*mode_cfgs[m], cache.get()); },
+        [&](int, int) { cache = std::make_unique<CompileCache>(); });
+    const double plain_ms = ms[0], journal_ms = ms[1];
     long cells = 0;
     {
         std::ifstream in(journal_path);
@@ -171,33 +145,37 @@ try {
                         static_cast<double>(cells)
                   : 0.0;
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"admission\": {\"iters\": " << iters
-         << ", \"mean_us\": " << mean_us << ", \"p99_us\": " << p99_us
-         << ", \"target_us\": 50, \"meets_target\": "
-         << (mean_us < 50.0 ? "true" : "false") << "},\n"
-         << "  \"journal\": {\"days\": " << days << ", \"reps\": " << reps
-         << ", \"plain_ms\": " << plain_ms << ", \"journal_ms\": "
-         << journal_ms << ", \"records\": " << cells
-         << ", \"per_record_us\": " << per_record_us
-         << ", \"overhead\": " << overhead
-         << ", \"target_overhead\": 0.02, \"meets_target\": "
-         << (overhead < 0.02 ? "true" : "false") << "}\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_governor: cannot write '", json_file, "'");
-        out << json.str();
-    }
+    bench::Verdict verdict("micro_governor");
     // Hard gate only at 10x the admission target: the check must stay
     // cheap enough to run on every request, but CI runners jitter.
     if (mean_us > 500.0)
-        return 4;
-    return 0;
+        verdict.breach("admission mean " + std::to_string(mean_us) +
+                       " us exceeds the 500 us ceiling");
+
+    JsonWriter json;
+    json.beginObject()
+        .key("admission").beginObject()
+        .key("iters").value(iters)
+        .key("mean_us").value(mean_us)
+        .key("p99_us").value(p99_us)
+        .key("target_us").value(50)
+        .key("meets_target").value(mean_us < 50.0)
+        .endObject()
+        .key("journal").beginObject()
+        .key("days").value(days)
+        .key("reps").value(reps)
+        .key("plain_ms").value(plain_ms)
+        .key("journal_ms").value(journal_ms)
+        .key("records").value(cells)
+        .key("per_record_us").value(per_record_us)
+        .key("overhead").value(overhead)
+        .key("target_overhead").value(0.02)
+        .key("meets_target").value(overhead < 0.02)
+        .endObject()
+        .endObject();
+
+    bench::writeReport("micro_governor", json, json_file);
+    return verdict.exitCode();
 } catch (const FatalError &) {
-    return 1;
+    return bench::Verdict::kFatal;
 }

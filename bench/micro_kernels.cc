@@ -9,8 +9,8 @@
  * contract: adaptive must never lose to serial, and every mode and
  * toggle must produce bit-identical amplitudes.
  *
- * Timing protocol matches micro_sched: modes are interleaved with the
- * order rotated every repetition and each mode keeps its minimum over
+ * Timing protocol: bench_util's rotatedMinMs — modes interleaved with
+ * the order rotated every repetition, each keeping its minimum over
  * --reps repetitions, so pool spawn and allocator warm-up cannot bias
  * a single mode. Bandwidth counts each kernel call as one read+write
  * pass over the full state (2 x 16 B x 2^n per call) — approximate
@@ -38,14 +38,11 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "common/logging.hh"
 #include "common/sched.hh"
 #include "common/thread_pool.hh"
@@ -57,15 +54,6 @@ using namespace triq;
 
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
 
 /** A cheap non-trivial state: superposed, every kernel path exercised. */
 StateVector
@@ -149,30 +137,18 @@ const Family kFamilies[] = {
 struct KernelRow
 {
     std::string family;
+    int passes = 0;
     int qubits = 0;
     int adaptivePlannedThreads = 1;
-    double serialMs = 0.0;
-    double threadedMs = 0.0;
-    double adaptiveMs = 0.0;
+    std::vector<double> ms; //!< Serial, threaded, adaptive; min over reps.
     bool identical = true;
 
     double
-    passBytes(int passes) const
+    gbPerSec(double ms) const
     {
-        return passes * 2.0 * 16.0 *
-               static_cast<double>(uint64_t{1} << qubits);
-    }
-
-    double
-    gbPerSec(double ms, int passes) const
-    {
-        return ms > 0.0 ? passBytes(passes) / (ms * 1e6) : 0.0;
-    }
-
-    double
-    adaptiveSpeedup() const
-    {
-        return adaptiveMs > 0.0 ? serialMs / adaptiveMs : 0.0;
+        const double pass_bytes =
+            passes * 2.0 * 16.0 * static_cast<double>(uint64_t{1} << qubits);
+        return bench::ratio(pass_bytes, ms * 1e6);
     }
 };
 
@@ -182,6 +158,7 @@ kernelRow(const Family &fam, int nq, int reps, int threads)
 {
     KernelRow row;
     row.family = fam.name;
+    row.passes = fam.passes;
     row.qubits = nq;
 
     // What the adaptive setting will actually do at this size (the
@@ -194,8 +171,6 @@ kernelRow(const Family &fam, int nq, int reps, int threads)
     row.adaptivePlannedThreads = plan.threaded ? plan.threads : 1;
 
     const int mode_setting[3] = {1, threads, 0};
-    double *mode_ms[3] = {&row.serialMs, &row.threadedMs,
-                          &row.adaptiveMs};
 
     // Identity check (and per-mode warm-up): one run per mode from the
     // same initial state, compared bit for bit against serial.
@@ -214,16 +189,10 @@ kernelRow(const Family &fam, int nq, int reps, int threads)
     // Timed runs: the state evolves unitarily in place (kernels touch
     // every amplitude regardless of its value), modes rotate.
     StateVector sv = init;
-    for (int rep = 0; rep < reps; ++rep)
-        for (int k = 0; k < 3; ++k) {
-            int m = (rep + k) % 3;
-            sv.setKernelThreads(mode_setting[m]);
-            auto t0 = Clock::now();
-            fam.apply(sv);
-            double ms = msSince(t0);
-            if (rep == 0 || ms < *mode_ms[m])
-                *mode_ms[m] = ms;
-        }
+    row.ms = bench::rotatedMinMs(3, reps, [&](int m) {
+        sv.setKernelThreads(mode_setting[m]);
+        fam.apply(sv);
+    });
     return row;
 }
 
@@ -233,15 +202,10 @@ struct TileRow
     int tileBits = 0;
     int tileRuns = 0;
     int tiledOps = 0;
-    double untiledMs = 0.0;
-    double tiledMs = 0.0;
+    std::vector<double> ms; //!< Untiled, tiled; min over reps.
     bool identical = true;
 
-    double
-    speedup() const
-    {
-        return tiledMs > 0.0 ? untiledMs / tiledMs : 0.0;
-    }
+    double speedup() const { return bench::ratio(ms[0], ms[1]); }
 };
 
 /**
@@ -308,17 +272,9 @@ tileRow(int nq, int tile_bits, int reps)
     row.identical = bitIdentical(a, b);
 
     const FusedProgram *progs[2] = {&untiled, &tiled};
-    double *mode_ms[2] = {&row.untiledMs, &row.tiledMs};
     StateVector sv = a;
-    for (int rep = 0; rep < reps; ++rep)
-        for (int k = 0; k < 2; ++k) {
-            int m = (rep + k) % 2;
-            auto t0 = Clock::now();
-            progs[m]->applyAll(sv);
-            double ms = msSince(t0);
-            if (rep == 0 || ms < *mode_ms[m])
-                *mode_ms[m] = ms;
-        }
+    row.ms = bench::rotatedMinMs(
+        2, reps, [&](int m) { progs[m]->applyAll(sv); });
     return row;
 }
 
@@ -330,34 +286,16 @@ try {
     std::vector<int> qubit_list = {16, 20, 24, 28};
     int reps = 3;
     int tile_bits = 12;
-    double tolerance = 0.90;
-    double noise_floor_ms = 1.0;
+    bench::LossGate gate;
     std::string json_file;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_kernels: ", flag, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--qubits")) {
-            qubit_list.clear();
-            std::stringstream ss(need_value("--qubits"));
-            std::string tok;
-            while (std::getline(ss, tok, ','))
-                qubit_list.push_back(std::atoi(tok.c_str()));
-        } else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
-        else if (!std::strcmp(argv[i], "--tile"))
-            tile_bits = std::atoi(need_value("--tile"));
-        else if (!std::strcmp(argv[i], "--tolerance"))
-            tolerance = std::atof(need_value("--tolerance"));
-        else if (!std::strcmp(argv[i], "--noise-floor-ms"))
-            noise_floor_ms = std::atof(need_value("--noise-floor-ms"));
-        else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
-        else
-            fatal("micro_kernels: unknown argument '", argv[i], "'");
-    }
+    bench::Flags("micro_kernels")
+        .add("--qubits", qubit_list)
+        .add("--reps", reps)
+        .add("--tile", tile_bits)
+        .add("--tolerance", gate.tolerance)
+        .add("--noise-floor-ms", gate.noiseFloorMs)
+        .add("--json", json_file)
+        .parse(argc, argv);
     if (reps < 1)
         fatal("micro_kernels: --reps must be >= 1");
     if (tile_bits < 6 || tile_bits > 24)
@@ -370,107 +308,78 @@ try {
     const int threads = std::max(2, ThreadPool::hardwareThreads());
 
     std::vector<KernelRow> krows;
-    std::vector<int> krow_passes;
     for (int nq : qubit_list)
-        for (const Family &fam : kFamilies) {
+        for (const Family &fam : kFamilies)
             krows.push_back(kernelRow(fam, nq, reps, threads));
-            krow_passes.push_back(fam.passes);
-        }
 
     std::vector<TileRow> trows;
     for (int nq : qubit_list)
         if (nq > tile_bits)
             trows.push_back(tileRow(nq, tile_bits, reps));
 
-    bool identical = true;
-    bool gate_ok = true;
+    bench::Verdict verdict("micro_kernels");
     for (const KernelRow &r : krows) {
-        identical = identical && r.identical;
-        if (r.adaptivePlannedThreads > 1 &&
-            r.adaptiveSpeedup() < tolerance &&
-            r.adaptiveMs - r.serialMs > noise_floor_ms) {
-            gate_ok = false;
-            std::cerr << "micro_kernels: GATE " << r.family << "/"
-                      << r.qubits << "q: adaptive_speedup "
-                      << r.adaptiveSpeedup() << " < tolerance "
-                      << tolerance
-                      << " and the loss exceeds the noise floor (serial "
-                      << r.serialMs << " ms, adaptive " << r.adaptiveMs
-                      << " ms)\n";
-        }
+        const std::string row =
+            r.family + "/" + std::to_string(r.qubits) + "q";
+        if (!r.identical)
+            verdict.breach(row + ": amplitudes differ between modes");
+        verdict.checkLoss(gate, row, r.ms[0], r.ms[2],
+                          r.adaptivePlannedThreads > 1);
     }
     double best_tile_20q = 0.0;
     for (const TileRow &r : trows) {
-        identical = identical && r.identical;
+        if (!r.identical)
+            verdict.breach("tiling/" + std::to_string(r.qubits) +
+                           "q: tiled amplitudes differ from untiled");
         if (r.qubits >= 20)
             best_tile_20q = std::max(best_tile_20q, r.speedup());
     }
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"hardware_threads\": " << ThreadPool::hardwareThreads()
-         << ",\n"
-         << "  \"forced_threads\": " << threads << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"tile_bits\": " << tile_bits << ",\n"
-         << "  \"tolerance\": " << tolerance << ",\n"
-         << "  \"noise_floor_ms\": " << noise_floor_ms << ",\n"
-         << "  \"kernel_rows\": [\n";
-    for (size_t i = 0; i < krows.size(); ++i) {
-        const KernelRow &r = krows[i];
-        int passes = krow_passes[i];
-        json << "    {\"family\": \"" << r.family
-             << "\", \"qubits\": " << r.qubits
-             << ", \"passes\": " << passes
-             << ", \"adaptive_planned_threads\": "
-             << r.adaptivePlannedThreads
-             << ", \"serial_ms\": " << r.serialMs
-             << ", \"threaded_ms\": " << r.threadedMs
-             << ", \"adaptive_ms\": " << r.adaptiveMs
-             << ", \"serial_gb_per_sec\": "
-             << r.gbPerSec(r.serialMs, passes)
-             << ", \"adaptive_gb_per_sec\": "
-             << r.gbPerSec(r.adaptiveMs, passes)
-             << ", \"adaptive_speedup\": " << r.adaptiveSpeedup()
-             << ", \"thread_speedup\": "
-             << (r.threadedMs > 0.0 ? r.serialMs / r.threadedMs : 0.0)
-             << ", \"identical\": " << (r.identical ? "true" : "false")
-             << "}" << (i + 1 == krows.size() ? "\n" : ",\n");
-    }
-    json << "  ],\n"
-         << "  \"tile_rows\": [\n";
-    for (size_t i = 0; i < trows.size(); ++i) {
-        const TileRow &r = trows[i];
-        json << "    {\"qubits\": " << r.qubits
-             << ", \"tile_bits\": " << r.tileBits
-             << ", \"tile_runs\": " << r.tileRuns
-             << ", \"tiled_ops\": " << r.tiledOps
-             << ", \"untiled_ms\": " << r.untiledMs
-             << ", \"tiled_ms\": " << r.tiledMs
-             << ", \"tiling_speedup\": " << r.speedup()
-             << ", \"identical\": " << (r.identical ? "true" : "false")
-             << "}" << (i + 1 == trows.size() ? "\n" : ",\n");
-    }
-    json << "  ],\n"
-         << "  \"best_tiling_speedup_20q_plus\": " << best_tile_20q
-         << ",\n"
-         << "  \"identical_across_modes\": "
-         << (identical ? "true" : "false") << ",\n"
-         << "  \"gate_pass\": " << (gate_ok ? "true" : "false") << "\n"
-         << "}\n";
+    JsonWriter json;
+    json.beginObject()
+        .key("hardware_threads").value(ThreadPool::hardwareThreads())
+        .key("forced_threads").value(threads)
+        .key("reps").value(reps)
+        .key("tile_bits").value(tile_bits)
+        .key("tolerance").value(gate.tolerance)
+        .key("noise_floor_ms").value(gate.noiseFloorMs)
+        .key("kernel_rows").beginArray();
+    for (const KernelRow &r : krows)
+        json.beginObject()
+            .key("family").value(r.family)
+            .key("qubits").value(r.qubits)
+            .key("passes").value(r.passes)
+            .key("adaptive_planned_threads")
+            .value(r.adaptivePlannedThreads)
+            .key("serial_ms").value(r.ms[0])
+            .key("threaded_ms").value(r.ms[1])
+            .key("adaptive_ms").value(r.ms[2])
+            .key("serial_gb_per_sec").value(r.gbPerSec(r.ms[0]))
+            .key("adaptive_gb_per_sec").value(r.gbPerSec(r.ms[2]))
+            .key("adaptive_speedup").value(bench::ratio(r.ms[0], r.ms[2]))
+            .key("thread_speedup").value(bench::ratio(r.ms[0], r.ms[1]))
+            .key("identical").value(r.identical)
+            .endObject();
+    json.endArray().key("tile_rows").beginArray();
+    for (const TileRow &r : trows)
+        json.beginObject()
+            .key("qubits").value(r.qubits)
+            .key("tile_bits").value(r.tileBits)
+            .key("tile_runs").value(r.tileRuns)
+            .key("tiled_ops").value(r.tiledOps)
+            .key("untiled_ms").value(r.ms[0])
+            .key("tiled_ms").value(r.ms[1])
+            .key("tiling_speedup").value(r.speedup())
+            .key("identical").value(r.identical)
+            .endObject();
+    json.endArray()
+        .key("best_tiling_speedup_20q_plus").value(best_tile_20q)
+        .key("identical_across_modes").value(!verdict.breached())
+        .key("gate_pass").value(verdict.gatePassed())
+        .endObject();
 
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_kernels: cannot write '", json_file, "'");
-        out << json.str();
-    }
-    if (!identical)
-        return 4;
-    if (!gate_ok)
-        return 6;
-    return 0;
+    bench::writeReport("micro_kernels", json, json_file);
+    return verdict.exitCode();
 } catch (const FatalError &) {
-    return 1;
+    return bench::Verdict::kFatal;
 }

@@ -22,7 +22,8 @@
  * Node counts are exact and deterministic: the searches run under a
  * node budget only (no wall-clock deadline), so the gates cannot flake
  * on machine load; --reps repetitions exist purely to take a
- * min-over-reps wall time per engine.
+ * min-over-reps wall time per engine (bench_util's rotatedMinMs, the
+ * four engines rotated within each row).
  *
  * The gates (exit 6 on failure):
  *   1. on rows the legacy engine can prove within the budget, the new
@@ -47,13 +48,7 @@
  *   micro_mapper [--budget N] [--reps N] [--node-floor N] [--json FILE]
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -70,15 +65,6 @@ using namespace triq;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
-
 /** One engine's result on one row: min-over-reps wall time. */
 struct EngineStat
 {
@@ -90,34 +76,23 @@ struct EngineStat
     long symmetryPruned = 0;
     long dominancePruned = 0;
     bool deterministic = true; //!< Nodes/value identical across reps.
-};
 
-EngineStat
-runEngine(const ProgramInfo &info, const ReliabilityMatrix &rel,
-          const MappingOptions &opts, int reps)
-{
-    EngineStat s;
-    for (int rep = 0; rep < reps; ++rep) {
-        auto t0 = Clock::now();
-        Mapping m = mapQubits(info, rel, opts);
-        double ms = msSince(t0);
+    /** Record repetition `rep`'s mapping. */
+    void
+    record(const Mapping &m, int rep)
+    {
         if (rep == 0) {
-            s.nodes = m.nodesExplored;
-            s.optimal = m.optimal;
-            s.value = m.minReliability;
-            s.ms = ms;
-        } else {
-            if (ms < s.ms)
-                s.ms = ms;
-            if (m.nodesExplored != s.nodes || m.minReliability != s.value)
-                s.deterministic = false;
+            nodes = m.nodesExplored;
+            optimal = m.optimal;
+            value = m.minReliability;
+        } else if (m.nodesExplored != nodes || m.minReliability != value) {
+            deterministic = false;
         }
-        s.boundPruned = m.boundPruned;
-        s.symmetryPruned = m.symmetryPruned;
-        s.dominancePruned = m.dominancePruned;
+        boundPruned = m.boundPruned;
+        symmetryPruned = m.symmetryPruned;
+        dominancePruned = m.dominancePruned;
     }
-    return s;
-}
+};
 
 /** One fig13 grid row: all four engines on the same matrix. */
 struct Row
@@ -126,43 +101,38 @@ struct Row
     int qubits = 0;
     int depth = 0;
     EngineStat greedy, legacy, fresh, warm;
-
-    double
-    nodeRatio() const
-    {
-        return fresh.nodes > 0
-                   ? static_cast<double>(legacy.nodes) / fresh.nodes
-                   : 0.0;
-    }
 };
 
 void
-emitEngine(std::ostringstream &json, const char *prefix,
+emitEngine(JsonWriter &json, const std::string &prefix,
            const EngineStat &s, bool with_prunes)
 {
-    json << ", \"" << prefix << "_nodes\": " << s.nodes << ", \""
-         << prefix << "_optimal\": " << (s.optimal ? "true" : "false")
-         << ", \"" << prefix << "_value\": " << s.value << ", \""
-         << prefix << "_ms\": " << s.ms;
+    json.key(prefix + "_nodes").value(s.nodes)
+        .key(prefix + "_optimal").value(s.optimal)
+        .key(prefix + "_value").value(s.value)
+        .key(prefix + "_ms").value(s.ms);
     if (with_prunes)
-        json << ", \"" << prefix << "_bound_pruned\": " << s.boundPruned
-             << ", \"" << prefix
-             << "_symmetry_pruned\": " << s.symmetryPruned << ", \""
-             << prefix << "_dominance_pruned\": " << s.dominancePruned;
+        json.key(prefix + "_bound_pruned").value(s.boundPruned)
+            .key(prefix + "_symmetry_pruned").value(s.symmetryPruned)
+            .key(prefix + "_dominance_pruned").value(s.dominancePruned);
 }
 
 void
-emitRow(std::ostringstream &json, const Row &r, bool last)
+emitRow(JsonWriter &json, const Row &r)
 {
-    json << "    {\"name\": \"" << r.name
-         << "\", \"qubits\": " << r.qubits << ", \"depth\": " << r.depth
-         << ", \"greedy_value\": " << r.greedy.value
-         << ", \"greedy_ms\": " << r.greedy.ms;
+    json.beginObject()
+        .key("name").value(r.name)
+        .key("qubits").value(r.qubits)
+        .key("depth").value(r.depth)
+        .key("greedy_value").value(r.greedy.value)
+        .key("greedy_ms").value(r.greedy.ms);
     emitEngine(json, "legacy", r.legacy, false);
     emitEngine(json, "new", r.fresh, true);
     emitEngine(json, "warm", r.warm, false);
-    json << ", \"node_ratio\": " << r.nodeRatio() << "}"
-         << (last ? "\n" : ",\n");
+    json.key("node_ratio")
+        .value(bench::ratio(static_cast<double>(r.legacy.nodes),
+                            static_cast<double>(r.fresh.nodes)))
+        .endObject();
 }
 
 } // namespace
@@ -174,23 +144,12 @@ try {
     int reps = 3;
     long node_floor = 64;
     std::string json_file;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_mapper: ", flag, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--budget"))
-            budget = std::atol(need_value("--budget"));
-        else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
-        else if (!std::strcmp(argv[i], "--node-floor"))
-            node_floor = std::atol(need_value("--node-floor"));
-        else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
-        else
-            fatal("micro_mapper: unknown argument '", argv[i], "'");
-    }
+    bench::Flags("micro_mapper")
+        .add("--budget", budget)
+        .add("--reps", reps)
+        .add("--node-floor", node_floor)
+        .add("--json", json_file)
+        .parse(argc, argv);
     if (budget < 1 || reps < 1)
         fatal("micro_mapper: --budget and --reps must be >= 1");
 
@@ -240,9 +199,6 @@ try {
                    std::to_string(cfg.depth);
         row.qubits = n;
         row.depth = cfg.depth;
-        row.greedy = runEngine(info, rel, greedy_opts, reps);
-        row.legacy = runEngine(info, rel, legacy_opts, reps);
-        row.fresh = runEngine(info, rel, new_opts, reps);
 
         // The drift-remap scenario: "yesterday" is a small
         // deterministic perturbation of today's error rates — the
@@ -262,56 +218,59 @@ try {
         MappingOptions warm_opts = new_opts;
         warm_opts.warmStart = prev.progToHw;
         warm_opts.warmStartOrigin = "drift(day 2)";
-        row.warm = runEngine(info, rel, warm_opts, reps);
+
+        const MappingOptions *engine_opts[4] = {
+            &greedy_opts, &legacy_opts, &new_opts, &warm_opts};
+        EngineStat *stats[4] = {&row.greedy, &row.legacy, &row.fresh,
+                                &row.warm};
+        Mapping last;
+        const std::vector<double> ms = bench::rotatedMinMs(
+            4, reps,
+            [&](int e) { last = mapQubits(info, rel, *engine_opts[e]); },
+            [&](int e, int rep) { stats[e]->record(last, rep); });
+        for (int e = 0; e < 4; ++e)
+            stats[e]->ms = ms[static_cast<size_t>(e)];
 
         rows.push_back(std::move(row));
     }
 
     // --- soundness / determinism checks (exit 4).
+    bench::Verdict verdict("micro_mapper");
     const double eps = 1e-12;
-    bool sound = true;
-    auto breach = [&](const Row &r, const std::string &what) {
-        sound = false;
-        std::cerr << "micro_mapper: BREACH " << r.name << ": " << what
-                  << "\n";
-    };
     for (const Row &r : rows) {
+        auto breach = [&](const std::string &what) {
+            verdict.breach(r.name + ": " + what);
+        };
         for (const EngineStat *s :
              {&r.greedy, &r.legacy, &r.fresh, &r.warm})
             if (!s->deterministic)
-                breach(r, "node count or value changed across reps");
+                breach("node count or value changed across reps");
         // Cold exact engines seed from the greedy incumbent and accept
         // only strict improvements, so they can never come back worse.
         if (r.legacy.value + eps < r.greedy.value)
-            breach(r, "legacy value below the greedy seed");
+            breach("legacy value below the greedy seed");
         if (r.fresh.value + eps < r.greedy.value)
-            breach(r, "new-engine value below the greedy seed");
+            breach("new-engine value below the greedy seed");
         // Sound pruning with identical child ordering: at any node
         // budget the new engine has seen every improving leaf the
         // legacy search has, so its anytime value cannot be worse.
         if (r.fresh.value + eps < r.legacy.value)
-            breach(r, "new-engine value below the legacy value");
+            breach("new-engine value below the legacy value");
         // Same argument, warm vs. cold: the warm incumbent starts at
         // least as high (the engine keeps the better of the warm and
         // greedy seeds), so the warm anytime value cannot be worse.
         if (r.warm.value + eps < r.fresh.value)
-            breach(r, "warm-start value below the cold value");
+            breach("warm-start value below the cold value");
         // Two proofs of optimality must agree on the optimum.
         if (r.legacy.optimal && r.fresh.optimal &&
             std::abs(r.legacy.value - r.fresh.value) > eps)
-            breach(r, "legacy and new both optimal at different values");
+            breach("legacy and new both optimal at different values");
         if (r.warm.optimal && r.fresh.optimal &&
             std::abs(r.warm.value - r.fresh.value) > eps)
-            breach(r, "warm and cold both optimal at different values");
+            breach("warm and cold both optimal at different values");
     }
 
     // --- the perf gates (exit 6).
-    bool gate_ok = true;
-    auto gate = [&](const Row &r, const std::string &what) {
-        gate_ok = false;
-        std::cerr << "micro_mapper: GATE " << r.name << ": " << what
-                  << "\n";
-    };
     long legacy_total = 0, new_total = 0, warm_total = 0;
     int undegraded = 0;
     for (const Row &r : rows) {
@@ -329,65 +288,53 @@ try {
                       (r.legacy.nodes <= node_floor &&
                        r.fresh.nodes <= r.legacy.nodes);
         if (!saturated && !shrank)
-            gate(r, "new engine explored " +
-                        std::to_string(r.fresh.nodes) +
-                        " nodes, legacy " +
-                        std::to_string(r.legacy.nodes));
+            verdict.gateFail(r.name + ": new engine explored " +
+                             std::to_string(r.fresh.nodes) +
+                             " nodes, legacy " +
+                             std::to_string(r.legacy.nodes));
         // 2. A warm incumbent can only tighten pruning further.
         if (r.warm.nodes > r.fresh.nodes)
-            gate(r, "warm start explored " +
-                        std::to_string(r.warm.nodes) +
-                        " nodes, cold " + std::to_string(r.fresh.nodes));
+            verdict.gateFail(r.name + ": warm start explored " +
+                             std::to_string(r.warm.nodes) +
+                             " nodes, cold " +
+                             std::to_string(r.fresh.nodes));
         if (!r.legacy.optimal && r.fresh.optimal)
             ++undegraded;
     }
-    if (warm_total >= new_total && new_total > 0) {
-        gate_ok = false;
-        std::cerr << "micro_mapper: GATE warm starts explored "
-                  << warm_total << " total nodes, cold " << new_total
-                  << "\n";
-    }
+    if (warm_total >= new_total && new_total > 0)
+        verdict.gateFail("warm starts explored " +
+                         std::to_string(warm_total) +
+                         " total nodes, cold " +
+                         std::to_string(new_total));
     // 3. The headline claim: a budget the legacy search exhausts
     //    (returning the unproved greedy incumbent) now suffices for a
     //    proof on at least one supremacy row. Only meaningful at the
     //    default fig13 budget and up — the 16-qubit proof takes ~187k
     //    nodes, so a deliberately shrunk --budget cannot satisfy it
     //    and should not read as a regression.
-    if (undegraded == 0 && budget >= 200000) {
-        gate_ok = false;
-        std::cerr << "micro_mapper: GATE no row went from "
-                     "legacy-budget-exhausted to proved-optimal\n";
-    }
+    if (undegraded == 0 && budget >= 200000)
+        verdict.gateFail("no row went from legacy-budget-exhausted to "
+                         "proved-optimal");
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"budget\": " << budget << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"node_floor\": " << node_floor << ",\n"
-         << "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i)
-        emitRow(json, rows[i], i + 1 == rows.size());
-    json << "  ],\n"
-         << "  \"legacy_total_nodes\": " << legacy_total << ",\n"
-         << "  \"new_total_nodes\": " << new_total << ",\n"
-         << "  \"warm_total_nodes\": " << warm_total << ",\n"
-         << "  \"rows_undegraded\": " << undegraded << ",\n"
-         << "  \"sound\": " << (sound ? "true" : "false") << ",\n"
-         << "  \"gate_pass\": " << (gate_ok ? "true" : "false") << "\n"
-         << "}\n";
+    JsonWriter json;
+    json.beginObject()
+        .key("budget").value(budget)
+        .key("reps").value(reps)
+        .key("node_floor").value(node_floor)
+        .key("rows").beginArray();
+    for (const Row &r : rows)
+        emitRow(json, r);
+    json.endArray()
+        .key("legacy_total_nodes").value(legacy_total)
+        .key("new_total_nodes").value(new_total)
+        .key("warm_total_nodes").value(warm_total)
+        .key("rows_undegraded").value(undegraded)
+        .key("sound").value(!verdict.breached())
+        .key("gate_pass").value(verdict.gatePassed())
+        .endObject();
 
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_mapper: cannot write '", json_file, "'");
-        out << json.str();
-    }
-    if (!sound)
-        return 4;
-    if (!gate_ok)
-        return 6;
-    return 0;
+    bench::writeReport("micro_mapper", json, json_file);
+    return verdict.exitCode();
 } catch (const FatalError &) {
-    return 1;
+    return bench::Verdict::kFatal;
 }

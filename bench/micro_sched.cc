@@ -15,11 +15,9 @@
  *     per-day compile fan-out consumer; the warm sweep is all cache
  *     hits and must stay serial).
  *
- * Timing protocol: modes are interleaved with the order rotated every
- * repetition (a fixed order biases whichever mode runs after the
- * threaded one wakes the pool workers), and each mode keeps its
- * minimum over --reps repetitions, so one-time effects (pool spawn,
- * allocator warm-up) and scheduler noise cannot bias a single mode.
+ * Timing protocol: bench_util's rotatedMinMs — modes interleaved with
+ * the order rotated every repetition, each keeping its minimum over
+ * --reps repetitions — after one untimed warm-up run per mode.
  *
  * The gate: adaptive_speedup = serial_ms / adaptive_ms must be >=
  * --tolerance (default 0.90) on every row, OR the absolute loss
@@ -39,12 +37,7 @@
  *               [--noise-floor-ms X] [--json FILE]
  */
 
-#include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,24 +53,13 @@ using namespace triq;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
-
 /** One benchmark row: min-over-reps per mode plus the adaptive plan. */
 struct Row
 {
     std::string name;
     std::string kind; //!< "sim" or "sweep".
     int items = 0;    //!< Trials (sim) or grid cells (sweep).
-    double serialMs = 0.0;
-    double threadedMs = 0.0;
-    double adaptiveMs = 0.0;
+    std::vector<double> ms; //!< Serial, threaded, adaptive; min over reps.
     bool identical = true;
 
     // The adaptive run's recorded decision.
@@ -87,38 +69,28 @@ struct Row
     int tasks = 0;
     double predictedMs = 0.0;
     double actualMs = 0.0;
-
-    double
-    adaptiveSpeedup() const
-    {
-        return adaptiveMs > 0.0 ? serialMs / adaptiveMs : 0.0;
-    }
-
-    double
-    threadSpeedup() const
-    {
-        return threadedMs > 0.0 ? serialMs / threadedMs : 0.0;
-    }
 };
 
 void
-emitRow(std::ostringstream &json, const Row &r, bool last)
+emitRow(JsonWriter &json, const Row &r)
 {
-    json << "    {\"name\": \"" << r.name << "\", \"kind\": \"" << r.kind
-         << "\", \"items\": " << r.items
-         << ", \"serial_ms\": " << r.serialMs
-         << ", \"threaded_ms\": " << r.threadedMs
-         << ", \"adaptive_ms\": " << r.adaptiveMs
-         << ", \"adaptive_speedup\": " << r.adaptiveSpeedup()
-         << ", \"thread_speedup\": " << r.threadSpeedup()
-         << ", \"adaptive_mode\": \"" << r.mode << "\""
-         << ", \"threads\": " << r.threads
-         << ", \"items_per_task\": " << r.itemsPerTask
-         << ", \"tasks\": " << r.tasks
-         << ", \"predicted_ms\": " << r.predictedMs
-         << ", \"actual_ms\": " << r.actualMs
-         << ", \"identical\": " << (r.identical ? "true" : "false")
-         << "}" << (last ? "\n" : ",\n");
+    json.beginObject()
+        .key("name").value(r.name)
+        .key("kind").value(r.kind)
+        .key("items").value(r.items)
+        .key("serial_ms").value(r.ms[0])
+        .key("threaded_ms").value(r.ms[1])
+        .key("adaptive_ms").value(r.ms[2])
+        .key("adaptive_speedup").value(bench::ratio(r.ms[0], r.ms[2]))
+        .key("thread_speedup").value(bench::ratio(r.ms[0], r.ms[1]))
+        .key("adaptive_mode").value(r.mode)
+        .key("threads").value(r.threads)
+        .key("items_per_task").value(r.itemsPerTask)
+        .key("tasks").value(r.tasks)
+        .key("predicted_ms").value(r.predictedMs)
+        .key("actual_ms").value(r.actualMs)
+        .key("identical").value(r.identical)
+        .endObject();
 }
 
 /** Time executeNoisy in the three modes, interleaved, min over reps. */
@@ -131,12 +103,9 @@ simRow(const std::string &name, const Circuit &hw, const Device &dev,
     row.kind = "sim";
     row.items = trials;
 
-    ExecOptions mode_opts[3];
-    mode_opts[0].threads = 1;        // forced serial
-    mode_opts[1].threads = threads;  // forced threaded
-    mode_opts[2].threads = -1;       // adaptive
-    double *mode_ms[3] = {&row.serialMs, &row.threadedMs,
-                          &row.adaptiveMs};
+    // Forced serial, forced threaded, adaptive.
+    const ExecOptions mode_opts[3] = {
+        {.threads = 1}, {.threads = threads}, {.threads = -1}};
 
     ExecutionResult baseline;
     for (int m = 0; m < 3; ++m) {
@@ -150,26 +119,25 @@ simRow(const std::string &name, const Circuit &hw, const Device &dev,
             row.identical = false;
         }
     }
-    for (int rep = 0; rep < reps; ++rep)
-        for (int k = 0; k < 3; ++k) {
-            int m = (rep + k) % 3; // rotate the order (see header)
-            auto t0 = Clock::now();
-            ExecutionResult r =
-                executeNoisy(hw, dev, calib, trials, 12345, mode_opts[m]);
-            double ms = msSince(t0);
-            if (rep == 0 || ms < *mode_ms[m])
-                *mode_ms[m] = ms;
+    ExecutionResult last;
+    row.ms = bench::rotatedMinMs(
+        3, reps,
+        [&](int m) {
+            last = executeNoisy(hw, dev, calib, trials, 12345,
+                                mode_opts[m]);
+        },
+        [&](int m, int) {
             if (m == 2) {
-                row.mode = r.sched.mode();
-                row.threads = r.sched.threads;
-                row.itemsPerTask = r.sched.itemsPerTask;
-                row.tasks = r.sched.tasks;
-                row.predictedMs = r.sched.predictedMs;
-                row.actualMs = r.sched.actualMs;
+                row.mode = last.sched.mode();
+                row.threads = last.sched.threads;
+                row.itemsPerTask = last.sched.itemsPerTask;
+                row.tasks = last.sched.tasks;
+                row.predictedMs = last.sched.predictedMs;
+                row.actualMs = last.sched.actualMs;
             }
-            if (r.histogram != baseline.histogram)
+            if (last.histogram != baseline.histogram)
                 row.identical = false;
-        }
+        });
     return row;
 }
 
@@ -182,55 +150,48 @@ sweepRow(const std::string &name, const SweepConfig &base, int reps,
     row.name = name;
     row.kind = "sweep";
 
-    int mode_threads[3] = {1, threads, -1};
-    double *mode_ms[3] = {&row.serialMs, &row.threadedMs,
-                          &row.adaptiveMs};
+    SweepConfig mode_cfgs[3] = {base, base, base};
+    mode_cfgs[0].threads = 1;       // forced serial
+    mode_cfgs[1].threads = threads; // forced threaded
+    mode_cfgs[2].threads = -1;      // adaptive
 
     // Warm mode keeps one pre-filled cache per mode; cold uses a fresh
-    // cache for every timed run.
-    std::vector<std::unique_ptr<CompileCache>> warm_caches;
-    if (warm)
-        for (int m = 0; m < 3; ++m) {
-            warm_caches.push_back(std::make_unique<CompileCache>());
-            SweepConfig cfg = base;
-            cfg.threads = mode_threads[m];
-            runSweep(cfg, warm_caches[m].get());
-        }
+    // cache for every timed run. Caches and results are made and
+    // dropped outside the timed region.
+    std::vector<std::unique_ptr<CompileCache>> caches;
+    for (int m = 0; m < 3; ++m) {
+        caches.push_back(std::make_unique<CompileCache>());
+        if (warm)
+            runSweep(mode_cfgs[m], caches[m].get());
+    }
 
     std::vector<double> esp_baseline;
-    for (int rep = 0; rep < reps; ++rep)
-        for (int k = 0; k < 3; ++k) {
-            int m = (rep + k) % 3; // rotate the order (see header)
-            SweepConfig cfg = base;
-            cfg.threads = mode_threads[m];
-            std::unique_ptr<CompileCache> cold_cache;
+    SweepResult last;
+    row.ms = bench::rotatedMinMs(
+        3, reps,
+        [&](int m) { last = runSweep(mode_cfgs[m], caches[m].get()); },
+        [&](int m, int rep) {
             if (!warm)
-                cold_cache = std::make_unique<CompileCache>();
-            CompileCache *cache =
-                warm ? warm_caches[m].get() : cold_cache.get();
-            auto t0 = Clock::now();
-            SweepResult res = runSweep(cfg, cache);
-            double ms = msSince(t0);
-            if (rep == 0 || ms < *mode_ms[m])
-                *mode_ms[m] = ms;
-            row.items = res.stats.cells;
+                caches[m] = std::make_unique<CompileCache>();
+            row.items = last.stats.cells;
             if (m == 2) {
-                row.mode = res.stats.schedMode;
-                row.threads = res.stats.threads;
-                row.itemsPerTask = res.stats.schedItemsPerTask;
-                row.tasks = res.stats.schedTasks;
-                row.predictedMs = res.stats.schedPredictedMs;
-                row.actualMs = res.stats.schedActualMs;
+                row.mode = last.stats.schedMode;
+                row.threads = last.stats.threads;
+                row.itemsPerTask = last.stats.schedItemsPerTask;
+                row.tasks = last.stats.schedTasks;
+                row.predictedMs = last.stats.schedPredictedMs;
+                row.actualMs = last.stats.schedActualMs;
             }
             // The scheduler must never change what is computed.
             std::vector<double> esps;
-            for (const SweepCell &c : res.cells)
+            for (const SweepCell &c : last.cells)
                 esps.push_back(c.esp);
             if (rep == 0 && m == 0)
                 esp_baseline = std::move(esps);
             else if (esps != esp_baseline)
                 row.identical = false;
-        }
+            last = SweepResult();
+        });
     return row;
 }
 
@@ -241,28 +202,15 @@ main(int argc, char **argv)
 try {
     int trials = defaultTrials(1000);
     int reps = 5;
-    double tolerance = 0.90;
-    double noise_floor_ms = 1.0;
+    bench::LossGate gate;
     std::string json_file;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_sched: ", flag, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--trials"))
-            trials = std::atoi(need_value("--trials"));
-        else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
-        else if (!std::strcmp(argv[i], "--tolerance"))
-            tolerance = std::atof(need_value("--tolerance"));
-        else if (!std::strcmp(argv[i], "--noise-floor-ms"))
-            noise_floor_ms = std::atof(need_value("--noise-floor-ms"));
-        else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
-        else
-            fatal("micro_sched: unknown argument '", argv[i], "'");
-    }
+    bench::Flags("micro_sched")
+        .add("--trials", trials)
+        .add("--reps", reps)
+        .add("--tolerance", gate.tolerance)
+        .add("--noise-floor-ms", gate.noiseFloorMs)
+        .add("--json", json_file)
+        .parse(argc, argv);
     if (trials < 1 || reps < 1)
         fatal("micro_sched: --trials and --reps must be >= 1");
 
@@ -329,53 +277,33 @@ try {
         sweepRow("sweep_warm", sweep_cfg, reps, threads, true));
 
     // --- the gate.
-    bool identical = true;
-    bool gate_ok = true;
+    bench::Verdict verdict("micro_sched");
     for (const Row &r : rows) {
-        identical = identical && r.identical;
-        if (r.adaptiveSpeedup() < tolerance &&
-            r.adaptiveMs - r.serialMs > noise_floor_ms) {
-            gate_ok = false;
-            std::cerr << "micro_sched: GATE " << r.name
-                      << ": adaptive_speedup " << r.adaptiveSpeedup()
-                      << " < tolerance " << tolerance
-                      << " and the loss exceeds the noise floor (serial "
-                      << r.serialMs << " ms, adaptive " << r.adaptiveMs
-                      << " ms, chose " << r.mode << ")\n";
-        }
+        if (!r.identical)
+            verdict.breach(r.name + ": a mode disagrees with serial");
+        verdict.checkLoss(gate, r.name + " (chose " + r.mode + ")",
+                          r.ms[0], r.ms[2]);
     }
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"calib\": \"" << schedCalibString(calib_model) << "\",\n"
-         << "  \"hardware_threads\": "
-         << ThreadPool::hardwareThreads() << ",\n"
-         << "  \"forced_threads\": " << threads << ",\n"
-         << "  \"trials\": " << trials << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"tolerance\": " << tolerance << ",\n"
-         << "  \"noise_floor_ms\": " << noise_floor_ms << ",\n"
-         << "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i)
-        emitRow(json, rows[i], i + 1 == rows.size());
-    json << "  ],\n"
-         << "  \"identical_across_modes\": "
-         << (identical ? "true" : "false") << ",\n"
-         << "  \"gate_pass\": " << (gate_ok ? "true" : "false") << "\n"
-         << "}\n";
+    JsonWriter json;
+    json.beginObject()
+        .key("calib").value(schedCalibString(calib_model))
+        .key("hardware_threads").value(ThreadPool::hardwareThreads())
+        .key("forced_threads").value(threads)
+        .key("trials").value(trials)
+        .key("reps").value(reps)
+        .key("tolerance").value(gate.tolerance)
+        .key("noise_floor_ms").value(gate.noiseFloorMs)
+        .key("rows").beginArray();
+    for (const Row &r : rows)
+        emitRow(json, r);
+    json.endArray()
+        .key("identical_across_modes").value(!verdict.breached())
+        .key("gate_pass").value(verdict.gatePassed())
+        .endObject();
 
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_sched: cannot write '", json_file, "'");
-        out << json.str();
-    }
-    if (!identical)
-        return 4;
-    if (!gate_ok)
-        return 6;
-    return 0;
+    bench::writeReport("micro_sched", json, json_file);
+    return verdict.exitCode();
 } catch (const FatalError &) {
-    return 1;
+    return bench::Verdict::kFatal;
 }

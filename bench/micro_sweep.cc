@@ -29,11 +29,6 @@
  *               [--json FILE]
  */
 
-#include <chrono>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -65,25 +60,13 @@ try {
     int reps = 3;
     double drift = 0.05;
     std::string json_file;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_sweep: ", flag, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--days"))
-            days = std::atoi(need_value("--days"));
-        else if (!std::strcmp(argv[i], "--threads"))
-            threads = std::atoi(need_value("--threads"));
-        else if (!std::strcmp(argv[i], "--drift"))
-            drift = std::atof(need_value("--drift"));
-        else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
-        else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
-        else
-            fatal("micro_sweep: unknown argument '", argv[i], "'");
-    }
+    bench::Flags("micro_sweep")
+        .add("--days", days)
+        .add("--threads", threads)
+        .add("--drift", drift)
+        .add("--reps", reps)
+        .add("--json", json_file)
+        .parse(argc, argv);
     if (days < 1 || threads < 1 || reps < 1)
         fatal("micro_sweep: --days, --threads and --reps must be >= 1");
 
@@ -100,15 +83,17 @@ try {
     cfg.threads = threads;
     cfg.driftThreshold = -1.0;
 
-    auto sweepMs = [&](const SweepConfig &c, CompileCache *cache,
-                       SweepResult *out) {
-        auto t0 = std::chrono::steady_clock::now();
-        SweepResult r = runSweep(c, cache);
-        auto t1 = std::chrono::steady_clock::now();
-        if (out)
-            *out = std::move(r);
-        return std::chrono::duration<double, std::milli>(t1 - t0)
-            .count();
+    // Time `n` sweeps of `c` (min over them); the first one's result
+    // lands in `first`.
+    auto sweepMs = [](const SweepConfig &c, CompileCache *cache, int n,
+                      SweepResult &first) {
+        SweepResult last;
+        return bench::rotatedMinMs(
+            1, n, [&](int) { last = runSweep(c, cache); },
+            [&](int, int rep) {
+                if (rep == 0)
+                    first = std::move(last);
+            })[0];
     };
 
     // --- cold serial: the pre-engine baseline and the identity oracle.
@@ -116,10 +101,7 @@ try {
     serial.useCache = false;
     serial.threads = 1;
     SweepResult cold;
-    double cold_serial_ms = sweepMs(serial, nullptr, &cold);
-    for (int rep = 1; rep < reps; ++rep)
-        cold_serial_ms =
-            std::min(cold_serial_ms, sweepMs(serial, nullptr, nullptr));
+    double cold_serial_ms = sweepMs(serial, nullptr, reps, cold);
     std::vector<std::string> oracle(cold.cells.size());
     for (size_t i = 0; i < cold.cells.size(); ++i)
         if (cold.cells[i].result)
@@ -128,93 +110,79 @@ try {
     // --- engine cold + warm on one cache.
     CompileCache cache;
     SweepResult engine_cold, warm;
-    double engine_cold_ms = sweepMs(cfg, &cache, &engine_cold);
-    double warm_ms = sweepMs(cfg, &cache, &warm);
-    for (int rep = 1; rep < reps; ++rep)
-        warm_ms = std::min(warm_ms, sweepMs(cfg, &cache, nullptr));
+    double engine_cold_ms = sweepMs(cfg, &cache, 1, engine_cold);
+    double warm_ms = sweepMs(cfg, &cache, reps, warm);
 
     // Identity: parallel/deduped/warm artifacts must match cold serial
     // byte for byte, cell for cell.
-    int mismatches = 0;
+    bench::Verdict verdict("micro_sweep");
     auto checkIdentity = [&](const SweepResult &res, const char *pass) {
         for (size_t i = 0; i < res.cells.size(); ++i) {
             const SweepCell &c = res.cells[i];
             if (c.source == CellSource::Skipped)
                 continue;
-            if (canonicalCompileResultText(*c.result) != oracle[i]) {
-                ++mismatches;
-                std::cerr << "micro_sweep: " << pass << " cell "
-                          << cfg.programs[c.programIndex].name << "/"
-                          << cfg.devices[c.deviceIndex].name() << "/day"
-                          << c.day << "/" << levelToken(c.level)
-                          << " differs from cold serial\n";
-            }
+            if (canonicalCompileResultText(*c.result) != oracle[i])
+                verdict.breach(
+                    std::string(pass) + " cell " +
+                    cfg.programs[c.programIndex].name + "/" +
+                    cfg.devices[c.deviceIndex].name() + "/day" +
+                    std::to_string(c.day) + "/" + levelToken(c.level) +
+                    " differs from cold serial");
         }
     };
     checkIdentity(engine_cold, "engine_cold");
     checkIdentity(warm, "warm");
     int warm_compiles = warm.stats.compiles;
+    if (warm_compiles > 0)
+        verdict.warmRecompile("the warm sweep compiled " +
+                              std::to_string(warm_compiles) + " cells");
 
     // --- drift replay: fresh cache, day-by-day with a threshold.
     SweepConfig driftCfg = cfg;
     driftCfg.driftThreshold = drift;
     CompileCache drift_cache;
     SweepResult replay;
-    double drift_ms = sweepMs(driftCfg, &drift_cache, &replay);
+    double drift_ms = sweepMs(driftCfg, &drift_cache, 1, replay);
     CompileCache::Stats ds = drift_cache.stats();
 
-    double speedup =
-        warm_ms > 0.0 ? cold_serial_ms / warm_ms : 0.0;
-    double hit_rate =
-        warm.stats.cells > 0
-            ? double(warm.stats.cacheHits) / warm.stats.cells
-            : 0.0;
+    JsonWriter json;
+    json.beginObject()
+        .key("grid").beginObject()
+        .key("programs").value(static_cast<long>(cfg.programs.size()))
+        .key("devices").value(static_cast<long>(cfg.devices.size()))
+        .key("days").value(days)
+        .key("levels").value(2)
+        .key("cells").value(cold.stats.cells)
+        .key("skipped").value(cold.stats.skipped)
+        .endObject()
+        .key("threads").value(threads)
+        .key("reps").value(reps)
+        .key("cold_serial_ms").value(cold_serial_ms)
+        .key("engine_cold_ms").value(engine_cold_ms)
+        .key("warm_ms").value(warm_ms)
+        .key("drift_replay_ms").value(drift_ms)
+        .key("engine_cold_compiles").value(engine_cold.stats.compiles)
+        .key("engine_cold_cache_hits").value(engine_cold.stats.cacheHits)
+        .key("warm_compiles").value(warm_compiles)
+        .key("warm_hit_rate")
+        .value(bench::ratio(warm.stats.cacheHits, warm.stats.cells))
+        .key("speedup_warm_vs_cold_serial")
+        .value(bench::ratio(cold_serial_ms, warm_ms))
+        .key("speedup_engine_cold_vs_cold_serial")
+        .value(bench::ratio(cold_serial_ms, engine_cold_ms))
+        .key("drift").beginObject()
+        .key("threshold").value(drift)
+        .key("compiles").value(replay.stats.compiles)
+        .key("reuses").value(replay.stats.driftReuses)
+        .key("recompiles").value(replay.stats.driftRecompiles)
+        .key("checks").value(ds.driftChecks)
+        .key("invalidations").value(ds.driftInvalidations)
+        .endObject()
+        .key("identical").value(!verdict.breached())
+        .endObject();
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"grid\": {\"programs\": " << cfg.programs.size()
-         << ", \"devices\": " << cfg.devices.size()
-         << ", \"days\": " << days << ", \"levels\": 2, \"cells\": "
-         << cold.stats.cells << ", \"skipped\": " << cold.stats.skipped
-         << "},\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"cold_serial_ms\": " << cold_serial_ms << ",\n"
-         << "  \"engine_cold_ms\": " << engine_cold_ms << ",\n"
-         << "  \"warm_ms\": " << warm_ms << ",\n"
-         << "  \"drift_replay_ms\": " << drift_ms << ",\n"
-         << "  \"engine_cold_compiles\": " << engine_cold.stats.compiles
-         << ",\n"
-         << "  \"engine_cold_cache_hits\": "
-         << engine_cold.stats.cacheHits << ",\n"
-         << "  \"warm_compiles\": " << warm_compiles << ",\n"
-         << "  \"warm_hit_rate\": " << hit_rate << ",\n"
-         << "  \"speedup_warm_vs_cold_serial\": " << speedup << ",\n"
-         << "  \"speedup_engine_cold_vs_cold_serial\": "
-         << (engine_cold_ms > 0.0 ? cold_serial_ms / engine_cold_ms
-                                  : 0.0)
-         << ",\n"
-         << "  \"drift\": {\"threshold\": " << drift
-         << ", \"compiles\": " << replay.stats.compiles
-         << ", \"reuses\": " << replay.stats.driftReuses
-         << ", \"recompiles\": " << replay.stats.driftRecompiles
-         << ", \"checks\": " << ds.driftChecks
-         << ", \"invalidations\": " << ds.driftInvalidations << "},\n"
-         << "  \"identical\": " << (mismatches == 0 ? "true" : "false")
-         << "\n}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_sweep: cannot write '", json_file, "'");
-        out << json.str();
-    }
-    if (mismatches > 0)
-        return 4;
-    if (warm_compiles > 0)
-        return 5;
-    return 0;
+    bench::writeReport("micro_sweep", json, json_file);
+    return verdict.exitCode();
 } catch (const FatalError &) {
-    return 1;
+    return bench::Verdict::kFatal;
 }

@@ -14,9 +14,13 @@
  * register sizes where kernel threading (which shards amplitude
  * loops, not trials) starts to matter.
  *
+ * Timing follows bench_util's protocol: the four configurations
+ * rotate within each row over a fixed three repetitions, each keeping
+ * its minimum.
+ *
  * The run doubles as a determinism check: all four configurations
- * must produce bit-identical results per row, and the JSON records
- * whether they did.
+ * must produce bit-identical results per row, the JSON records
+ * whether they did, and the process exits 4 when any row disagrees.
  *
  * Usage:
  *   micro_trajectory [--bench NAME]... [--device NAME] [--trials N]
@@ -25,11 +29,6 @@
  * --bench may be repeated; when given, only the named benchmarks run.
  */
 
-#include <chrono>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,23 +42,11 @@ using namespace triq;
 namespace
 {
 
-double
-runMs(const Circuit &hw, const Device &dev, const Calibration &calib,
-      int trials, const ExecOptions &opts, ExecutionResult *out)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    ExecutionResult r = executeNoisy(hw, dev, calib, trials, 12345, opts);
-    auto t1 = std::chrono::steady_clock::now();
-    if (out)
-        *out = std::move(r);
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-double
-trialsPerSec(int trials, double ms)
-{
-    return ms > 0.0 ? 1000.0 * trials / ms : 0.0;
-}
+/**
+ * Repetitions per configuration: fixed, because a single shot let the
+ * small rows swing by tens of percent between identical runs.
+ */
+constexpr int kReps = 3;
 
 } // namespace
 
@@ -72,27 +59,14 @@ try {
     int trials = defaultTrials(2000);
     int threads = std::max(2, ThreadPool::hardwareThreads());
     bool wide = false;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_trajectory: ", flag, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--bench"))
-            bench_names.push_back(need_value("--bench"));
-        else if (!std::strcmp(argv[i], "--device"))
-            device_name = need_value("--device");
-        else if (!std::strcmp(argv[i], "--trials"))
-            trials = std::atoi(need_value("--trials"));
-        else if (!std::strcmp(argv[i], "--threads"))
-            threads = std::atoi(need_value("--threads"));
-        else if (!std::strcmp(argv[i], "--wide"))
-            wide = true;
-        else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
-        else
-            fatal("micro_trajectory: unknown argument '", argv[i], "'");
-    }
+    bench::Flags("micro_trajectory")
+        .add("--bench", bench_names)
+        .add("--device", device_name)
+        .add("--trials", trials)
+        .add("--threads", threads)
+        .add("--wide", wide)
+        .add("--json", json_file)
+        .parse(argc, argv);
     if (bench_names.empty())
         bench_names = {"BV8", "QFT", "Adder"};
     if (trials < 1 || threads < 1)
@@ -151,122 +125,87 @@ try {
         }
     }
 
-    bool all_identical = true;
-    std::ostringstream rows;
-    for (size_t bi = 0; bi < specs.size(); ++bi) {
-        const RowSpec &spec = specs[bi];
-        const std::string &bench_name = spec.name;
-        const Device &row_dev = spec.dev;
-        const Calibration &row_calib = spec.calib;
-        const int row_trials = spec.trials;
+    // The four configurations, rotated within each row:
+    //  0. serial with checkpointing off: every faulty trajectory
+    //     replays the full circuit from |0...0>, the pre-optimization
+    //     behavior;
+    //  1. serial with automatic prefix checkpointing;
+    //  2. threaded with checkpointing; must match the serial run bit
+    //     for bit (chunk-sharded RNG + chunk-ordered merge);
+    //  3. serial trajectories with adaptive intra-state kernel
+    //     threading: the same memory plan as 1 (kernel workers add no
+    //     state copies), sharding amplitude loops instead of trials —
+    //     the configuration the governor's low-memory plan degrades to
+    //     on big registers.
+    const ExecOptions configs[4] = {
+        {.threads = 1, .checkpointInterval = -1},
+        {.threads = 1, .kernelThreads = 1},
+        {.threads = threads},
+        {.threads = 1, .kernelThreads = -1},
+    };
 
-        // Serial baseline with checkpointing off: every faulty
-        // trajectory replays the full circuit from |0...0>, the
-        // pre-optimization behavior.
-        ExecOptions no_ckpt;
-        no_ckpt.threads = 1;
-        no_ckpt.checkpointInterval = -1;
-        ExecutionResult r_base;
-        double base_ms = runMs(spec.hw, row_dev, row_calib, row_trials,
-                               no_ckpt, &r_base);
+    bench::Verdict verdict("micro_trajectory");
+    JsonWriter json;
+    json.beginObject()
+        .key("device").value(device_name)
+        .key("day").value(day)
+        .key("trials").value(trials)
+        .key("threads").value(threads)
+        .key("rows").beginArray();
+    for (const RowSpec &spec : specs) {
+        ExecutionResult last, res[4];
+        const std::vector<double> ms = bench::rotatedMinMs(
+            4, kReps,
+            [&](int c) {
+                last = executeNoisy(spec.hw, spec.dev, spec.calib,
+                                    spec.trials, 12345, configs[c]);
+            },
+            [&](int c, int rep) {
+                if (rep == 0)
+                    res[c] = std::move(last);
+            });
 
-        // Serial with automatic prefix checkpointing.
-        ExecOptions serial;
-        serial.threads = 1;
-        serial.kernelThreads = 1;
-        ExecutionResult r_serial;
-        double serial_ms = runMs(spec.hw, row_dev, row_calib,
-                                 row_trials, serial, &r_serial);
+        bool identical = true;
+        for (int c : {0, 2, 3})
+            identical = identical &&
+                        res[c].successRate == res[1].successRate &&
+                        res[c].simulatedTrajectories ==
+                            res[1].simulatedTrajectories &&
+                        res[c].histogram == res[1].histogram;
+        if (!identical)
+            verdict.breach(spec.name + ": results differ across configs");
 
-        // Threaded with checkpointing; must match the serial run bit
-        // for bit (chunk-sharded RNG + chunk-ordered merge).
-        ExecOptions threaded;
-        threaded.threads = threads;
-        ExecutionResult r_threaded;
-        double threaded_ms = runMs(spec.hw, row_dev, row_calib,
-                                   row_trials, threaded, &r_threaded);
-
-        // Serial trajectories with adaptive intra-state kernel
-        // threading: the same memory plan as `serial` (kernel workers
-        // add no state copies), sharding amplitude loops instead of
-        // trials — the configuration the governor's low-memory plan
-        // degrades to on big registers.
-        ExecOptions kernel;
-        kernel.threads = 1;
-        kernel.kernelThreads = -1;
-        ExecutionResult r_kernel;
-        double kernel_ms = runMs(spec.hw, row_dev, row_calib,
-                                 row_trials, kernel, &r_kernel);
-
-        bool identical =
-            r_serial.successRate == r_threaded.successRate &&
-            r_serial.successRate == r_base.successRate &&
-            r_serial.successRate == r_kernel.successRate &&
-            r_serial.simulatedTrajectories ==
-                r_threaded.simulatedTrajectories &&
-            r_serial.simulatedTrajectories ==
-                r_base.simulatedTrajectories &&
-            r_serial.simulatedTrajectories ==
-                r_kernel.simulatedTrajectories &&
-            r_serial.histogram == r_threaded.histogram &&
-            r_serial.histogram == r_base.histogram &&
-            r_serial.histogram == r_kernel.histogram;
-        all_identical = all_identical && identical;
-
-        rows << "    {\n"
-             << "      \"benchmark\": \"" << bench_name << "\",\n"
-             << "      \"device\": \"" << row_dev.name() << "\",\n"
-             << "      \"trials\": " << row_trials << ",\n"
-             << "      \"simulated_trajectories\": "
-             << r_serial.simulatedTrajectories << ",\n"
-             << "      \"success_rate\": " << r_serial.successRate
-             << ",\n"
-             << "      \"serial_no_checkpoint_ms\": " << base_ms << ",\n"
-             << "      \"serial_no_checkpoint_trials_per_sec\": "
-             << trialsPerSec(row_trials, base_ms) << ",\n"
-             << "      \"serial_ms\": " << serial_ms << ",\n"
-             << "      \"serial_trials_per_sec\": "
-             << trialsPerSec(row_trials, serial_ms) << ",\n"
-             << "      \"checkpoint_speedup\": "
-             << (serial_ms > 0.0 ? base_ms / serial_ms : 0.0) << ",\n"
-             << "      \"threaded_ms\": " << threaded_ms << ",\n"
-             << "      \"threaded_trials_per_sec\": "
-             << trialsPerSec(row_trials, threaded_ms) << ",\n"
-             << "      \"thread_speedup\": "
-             << (threaded_ms > 0.0 ? serial_ms / threaded_ms : 0.0)
-             << ",\n"
-             << "      \"kernel_ms\": " << kernel_ms << ",\n"
-             << "      \"kernel_trials_per_sec\": "
-             << trialsPerSec(row_trials, kernel_ms) << ",\n"
-             << "      \"kernel_speedup\": "
-             << (kernel_ms > 0.0 ? serial_ms / kernel_ms : 0.0)
-             << ",\n"
-             << "      \"identical_across_configs\": "
-             << (identical ? "true" : "false") << "\n"
-             << "    }"
-             << (bi + 1 == specs.size() ? "\n" : ",\n");
+        auto trials_per_sec = [&](double row_ms) {
+            return bench::ratio(1000.0 * spec.trials, row_ms);
+        };
+        json.beginObject()
+            .key("benchmark").value(spec.name)
+            .key("device").value(spec.dev.name())
+            .key("trials").value(spec.trials)
+            .key("simulated_trajectories")
+            .value(res[1].simulatedTrajectories)
+            .key("success_rate").value(res[1].successRate)
+            .key("serial_no_checkpoint_ms").value(ms[0])
+            .key("serial_no_checkpoint_trials_per_sec")
+            .value(trials_per_sec(ms[0]))
+            .key("serial_ms").value(ms[1])
+            .key("serial_trials_per_sec").value(trials_per_sec(ms[1]))
+            .key("checkpoint_speedup").value(bench::ratio(ms[0], ms[1]))
+            .key("threaded_ms").value(ms[2])
+            .key("threaded_trials_per_sec").value(trials_per_sec(ms[2]))
+            .key("thread_speedup").value(bench::ratio(ms[1], ms[2]))
+            .key("kernel_ms").value(ms[3])
+            .key("kernel_trials_per_sec").value(trials_per_sec(ms[3]))
+            .key("kernel_speedup").value(bench::ratio(ms[1], ms[3]))
+            .key("identical_across_configs").value(identical)
+            .endObject();
     }
+    json.endArray()
+        .key("identical_across_configs").value(!verdict.breached())
+        .endObject();
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"device\": \"" << device_name << "\",\n"
-         << "  \"day\": " << day << ",\n"
-         << "  \"trials\": " << trials << ",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"rows\": [\n"
-         << rows.str() << "  ],\n"
-         << "  \"identical_across_configs\": "
-         << (all_identical ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_trajectory: cannot write '", json_file, "'");
-        out << json.str();
-    }
-    return all_identical ? 0 : 4;
+    bench::writeReport("micro_trajectory", json, json_file);
+    return verdict.exitCode();
 } catch (const FatalError &) {
-    return 1;
+    return bench::Verdict::kFatal;
 }

@@ -137,6 +137,21 @@ class MemReservation
 
     ~MemReservation() { releaseNow(); }
 
+    /**
+     * Reserve `bytes` if they fit; a refusal returns an empty guard
+     * (bytes() == 0) instead of throwing.
+     */
+    static MemReservation
+    tryReserve(ResourceGovernor &gov, uint64_t bytes)
+    {
+        MemReservation r;
+        if (gov.tryReserve(bytes)) {
+            r.gov_ = &gov;
+            r.bytes_ = bytes;
+        }
+        return r;
+    }
+
     MemReservation(MemReservation &&o) noexcept
         : gov_(o.gov_), bytes_(o.bytes_)
     {

@@ -9,7 +9,6 @@
 #include <map>
 #include <numeric>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace triq
@@ -1124,8 +1123,7 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
     bool warm_requested = !opts.warmStart.empty();
     bool warm = warm_requested &&
                 validPlacement(opts.warmStart, info.numProgQubits,
-                               rel.numQubits()) &&
-                envInt("TRIQ_MAPPER_WARM", 1, 0) != 0;
+                               rel.numQubits());
     auto mark_warm = [&](Mapping &m) {
         m.warmStarted = warm;
         if (warm)
@@ -1178,14 +1176,9 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
                 "degraded to the seed incumbent");
             return m;
         }
-        bool use_bound = opts.useStrongBound &&
-                         envInt("TRIQ_MAPPER_BOUND", 1, 0) != 0;
-        bool use_sym = opts.useSymmetry &&
-                       envInt("TRIQ_MAPPER_SYMMETRY", 1, 0) != 0;
-        bool use_dom = opts.useDominance &&
-                       envInt("TRIQ_MAPPER_DOMINANCE", 1, 0) != 0;
         PruneTables tab =
-            buildPruneTables(ctx, use_bound, use_sym, use_dom);
+            buildPruneTables(ctx, opts.useStrongBound, opts.useSymmetry,
+                             opts.useDominance);
         auto finish = [&](const SearchCore &core,
                           std::vector<HwQubit> best_map) {
             Mapping m = finishMapping(info, rel, std::move(best_map),
@@ -1196,7 +1189,7 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
             m.boundPruned = core.boundPruned;
             m.symmetryPruned = core.symmetryPruned;
             m.dominancePruned = core.dominancePruned;
-            m.boundType = use_bound ? "row-relax" : "legacy";
+            m.boundType = opts.useStrongBound ? "row-relax" : "legacy";
             mark_warm(m);
             if (core.timedOut)
                 m.notes.push_back(

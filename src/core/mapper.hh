@@ -99,9 +99,7 @@ struct MappingOptions
 
     /**
      * Planner-grade pruning toggles for the B&B engines (all on by
-     * default; each can also be vetoed at runtime with
-     * TRIQ_MAPPER_BOUND / TRIQ_MAPPER_SYMMETRY / TRIQ_MAPPER_DOMINANCE
-     * = 0). All three are *sound*: they never change the optimal
+     * default). All three are *sound*: they never change the optimal
      * objective value, only the number of nodes needed to prove it.
      * Turning them off reproduces the legacy search, which is what the
      * micro_mapper ablation rows measure against.
@@ -121,8 +119,7 @@ struct MappingOptions
      * incumbent is never below the cold one and pruning is sound, the
      * returned objective value is never worse than a cold search's at
      * any node budget. Empty or invalid vectors are ignored (falling
-     * back to the greedy seed), and TRIQ_MAPPER_WARM=0 disables warm
-     * starting globally.
+     * back to the greedy seed).
      */
     std::vector<HwQubit> warmStart;
 

@@ -26,8 +26,12 @@ namespace triq
 namespace
 {
 
-/** Trials per RNG chunk; part of the sampling contract (see header). */
-constexpr int kDefaultChunkSize = 64;
+/**
+ * Trials per RNG chunk. Part of the sampling contract: chunk ci draws
+ * from the stream (seed, ci), so changing it changes which random
+ * stream each trial draws from.
+ */
+constexpr int kChunkSize = 64;
 
 /** Milliseconds since `t0`. */
 double
@@ -413,7 +417,13 @@ sampleGroupTrials(const StateVector &state, const PatternGroup &group,
  * exactly the state a from-scratch replay would reach (the prefix
  * determines the checkpoint seek, every advance and every injection),
  * so the reuse is bitwise invisible — results do not depend on slice
- * boundaries or thread count.
+ * boundaries, thread count or snapshot depth.
+ *
+ * Snapshot memory: the run's reservation (predictSimulationBytes)
+ * covers one snapshot level per worker; every deeper level reserves
+ * its own state against the process governor before it is allocated.
+ * When the governor refuses one, the depth stays capped for the rest
+ * of the slice and patterns resume from the deepest held snapshot.
  */
 void
 runGroupSlice(const TrajectoryContext &ctx,
@@ -422,10 +432,15 @@ runGroupSlice(const TrajectoryContext &ctx,
               const PresampledDraws &draws, std::vector<uint64_t> &basis_of)
 {
     const std::vector<ErrorSite> &sites = *ctx.sites;
-    StateVector traj(ctx.circuit->numQubits());
+    const int nq = ctx.circuit->numQubits();
+    StateVector traj(nq);
     traj.setKernelThreads(ctx.kernelThreads);
+    // Declared before `snaps` so the states are freed before their
+    // reservations are returned.
+    std::vector<MemReservation> deep_holds; // levels past the first
     std::vector<StateVector> snaps; // state after injection k
     std::vector<int> snapPos;       // gates applied at that point
+    int depth_cap = INT_MAX;        // snaps.size() at the first refusal
     int valid_depth = 0;            // prefix of snaps shared with `traj`'s
                                     // last pattern that is still live
 
@@ -444,11 +459,22 @@ runGroupSlice(const TrajectoryContext &ctx,
             next_lcp = patternLcp(group.pattern, group.patternLen,
                                   next.pattern, next.patternLen);
         }
-        if (next_lcp > static_cast<int>(snaps.size())) {
-            snaps.resize(static_cast<size_t>(next_lcp),
-                         StateVector(ctx.circuit->numQubits()));
-            snapPos.resize(static_cast<size_t>(next_lcp));
+        const int want = std::min(next_lcp, depth_cap);
+        while (static_cast<int>(snaps.size()) < want) {
+            if (!snaps.empty()) {
+                MemReservation hold = MemReservation::tryReserve(
+                    processGovernor(), stateVectorBytes(nq));
+                if (hold.bytes() == 0) {
+                    depth_cap = static_cast<int>(snaps.size());
+                    break;
+                }
+                deep_holds.push_back(std::move(hold));
+            }
+            snaps.emplace_back(nq);
+            snapPos.push_back(0);
         }
+        // Levels shared with the next pattern that a snapshot can hold.
+        const int keep = std::min(next_lcp, static_cast<int>(snaps.size()));
 
         int pos;
         int resume = std::min(valid_depth, group.patternLen);
@@ -464,14 +490,14 @@ runGroupSlice(const TrajectoryContext &ctx,
             advanceState(ctx, traj, pos, s.gateIdx + 1);
             pos = std::max(pos, s.gateIdx + 1);
             injectPauli(traj, s, static_cast<int>(entry & 31u));
-            if (k < next_lcp) {
+            if (k < keep) {
                 snaps[static_cast<size_t>(k)].amps() = traj.amps();
                 snapPos[static_cast<size_t>(k)] = pos;
             }
         }
         advanceState(ctx, traj, pos, ctx.circuit->numGates());
         sampleGroupTrials(traj, group, draws, basis_of);
-        valid_depth = next_lcp;
+        valid_depth = keep;
     }
 }
 
@@ -645,11 +671,8 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                                 sites[static_cast<size_t>(b)].gateIdx;
                      });
 
-    const bool use_fusion =
-        opts.fusion > 0 || (opts.fusion == 0 && defaultSimFusion());
-    const bool use_dedup =
-        !low_mem &&
-        (opts.dedup > 0 || (opts.dedup == 0 && defaultSimDedup()));
+    const bool use_fusion = opts.fusion >= 0;
+    const bool use_dedup = !low_mem && opts.dedup >= 0;
     FusedProgram fused_program;
     if (use_fusion) {
         // Align fused operators to the checkpoint interval so replays
@@ -677,11 +700,8 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
 
     // Shard trials into chunks; chunk ci owns the RNG stream
     // (seed, ci), and chunks merge in index order below, so the result
-    // is a pure function of (seed, trials, chunk size) — never of the
-    // thread count.
-    const int chunk_size =
-        opts.chunkSize > 0 ? opts.chunkSize : kDefaultChunkSize;
-    const int num_chunks = (trials + chunk_size - 1) / chunk_size;
+    // is a pure function of (seed, trials) — never of the thread count.
+    const int num_chunks = (trials + kChunkSize - 1) / kChunkSize;
     const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
 
     const SchedCalib &scal = schedCalib();
@@ -706,8 +726,8 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         draws.u.resize(static_cast<size_t>(trials));
         draws.flips.resize(static_cast<size_t>(trials));
         auto presample = [&](int ci) {
-            int lo = ci * chunk_size;
-            int n = std::min(chunk_size, trials - lo);
+            int lo = ci * kChunkSize;
+            int n = std::min(kChunkSize, trials - lo);
             presampleChunk(ctx,
                            Rng::stream(stream_seed,
                                        static_cast<uint64_t>(ci)),
@@ -722,7 +742,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
             plan(num_chunks,
                  estimatePresampleUs(scal,
                                      static_cast<int>(sites.size()),
-                                     chunk_size));
+                                     kChunkSize));
         runPerPlan(pre_dec, num_chunks, presample);
 
         // Phase B: group trials by identical fault pattern, in trial
@@ -735,7 +755,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
             const uint32_t *w =
                 draws.chunkWords[static_cast<size_t>(ci)].data();
             const int n =
-                std::min(chunk_size, trials - ci * chunk_size);
+                std::min(kChunkSize, trials - ci * kChunkSize);
             for (int k = 0; k < n; ++k, ++t) {
                 const int len =
                     draws.patternLen[static_cast<size_t>(t)];
@@ -868,14 +888,14 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
 
     std::vector<ChunkStats> stats(static_cast<size_t>(num_chunks));
     auto run_chunk = [&](int ci) {
-        int lo = ci * chunk_size;
-        int n = std::min(chunk_size, trials - lo);
+        int lo = ci * kChunkSize;
+        int n = std::min(kChunkSize, trials - lo);
         runChunk(ctx, Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
                  n, stats[static_cast<size_t>(ci)]);
     };
     SchedDecision dec =
         plan(num_chunks, estimateChunkUs(scal, cc.circuit.numQubits(),
-                                         num_gates, chunk_size,
+                                         num_gates, kChunkSize,
                                          faulty_frac));
     // Same pool-sharing rule as the dedup path: threaded chunk fan-out
     // means serial trajectory kernels, and vice versa. The low-memory
@@ -997,18 +1017,6 @@ defaultKernelThreads(int fallback)
 {
     // min 0: TRIQ_KERNEL_THREADS=0 is valid and means "adaptive".
     return envInt("TRIQ_KERNEL_THREADS", fallback, 0);
-}
-
-bool
-defaultSimFusion(bool fallback)
-{
-    return envInt("TRIQ_SIM_FUSION", fallback ? 1 : 0, 0) != 0;
-}
-
-bool
-defaultSimDedup(bool fallback)
-{
-    return envInt("TRIQ_SIM_DEDUP", fallback ? 1 : 0, 0) != 0;
 }
 
 } // namespace triq

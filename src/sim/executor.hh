@@ -19,11 +19,10 @@
  *  - faulty trajectories replay from the nearest ideal-prefix
  *    checkpoint before their first fired error site instead of from
  *    |0...0>;
- *  - gate fusion (sim/fusion.hh, TRIQ_SIM_FUSION, default on) rewrites
- *    the compact circuit into fused kernels so each replay makes fewer
- *    passes over the state;
- *  - fault-pattern deduplication (TRIQ_SIM_DEDUP, default on)
- *    pre-samples every trial's fault pattern, simulates each distinct
+ *  - gate fusion (sim/fusion.hh, default on) rewrites the compact
+ *    circuit into fused kernels so each replay makes fewer passes over
+ *    the state;
+ *  - fault-pattern deduplication (default on) pre-samples every trial's fault pattern, simulates each distinct
  *    pattern once and draws all of its trials' measurement samples
  *    from the shared final state. Dedup consumes the per-trial RNG
  *    draws in exactly the per-trial engine's order, so its histograms
@@ -124,15 +123,8 @@ struct ExecOptions
     int checkpointInterval = 0;
 
     /**
-     * Trials per RNG chunk (default 64). Part of the sampling contract:
-     * changing it changes which random stream each trial draws from, so
-     * results are only comparable at equal chunk size.
-     */
-    int chunkSize = 0;
-
-    /**
-     * Gate fusion for trajectory replays: > 0 on, < 0 off, 0 reads
-     * TRIQ_SIM_FUSION (default on). Fusion keeps amplitudes equal to
+     * Gate fusion for trajectory replays: > 0 on, < 0 off, 0 the
+     * default (on). Fusion keeps amplitudes equal to
      * the gate-by-gate path to ~1e-15 per gate (it reassociates
      * floating-point products), so histograms match the unfused path
      * for all practical seeds but are not guaranteed bit-identical.
@@ -140,8 +132,8 @@ struct ExecOptions
     int fusion = 0;
 
     /**
-     * Fault-pattern deduplication: > 0 on, < 0 off, 0 reads
-     * TRIQ_SIM_DEDUP (default on). Bit-identical to the per-trial
+     * Fault-pattern deduplication: > 0 on, < 0 off, 0 the default
+     * (on). Bit-identical to the per-trial
      * engine for any thread count: it consumes the RNG draws in the
      * same per-trial order and samples measurements by the same
      * cumulative scan.
@@ -212,18 +204,6 @@ int defaultSimThreads(int fallback = 1);
  * per kernel pass.
  */
 int defaultKernelThreads(int fallback = 1);
-
-/**
- * Default gate-fusion setting: reads the TRIQ_SIM_FUSION environment
- * variable (0 disables), falling back to `fallback` (on).
- */
-bool defaultSimFusion(bool fallback = true);
-
-/**
- * Default fault-pattern-dedup setting: reads the TRIQ_SIM_DEDUP
- * environment variable (0 disables), falling back to `fallback` (on).
- */
-bool defaultSimDedup(bool fallback = true);
 
 /**
  * Re-order an outcome key from the executor's hardware-measured-qubit

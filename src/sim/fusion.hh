@@ -23,8 +23,8 @@
  * original gates for just that operator.
  */
 
-#ifndef TRIQ_SIM_FUSION_HH
-#define TRIQ_SIM_FUSION_HH
+#ifndef TRIQ_SIM_GATE_FUSION_HH
+#define TRIQ_SIM_GATE_FUSION_HH
 
 #include <cstdint>
 #include <vector>
@@ -206,4 +206,4 @@ class FusedProgram
 
 } // namespace triq
 
-#endif // TRIQ_SIM_FUSION_HH
+#endif // TRIQ_SIM_GATE_FUSION_HH

@@ -233,23 +233,6 @@ TEST(Fusion, FusedKernelsMatchMatrixPath)
     EXPECT_LE(maxAmpDelta(a, b), 1e-12);
 }
 
-TEST(Fusion, EnvDefaultToggles)
-{
-    unsetenv("TRIQ_SIM_FUSION");
-    EXPECT_TRUE(defaultSimFusion());
-    setenv("TRIQ_SIM_FUSION", "0", 1);
-    EXPECT_FALSE(defaultSimFusion());
-    setenv("TRIQ_SIM_FUSION", "1", 1);
-    EXPECT_TRUE(defaultSimFusion());
-    unsetenv("TRIQ_SIM_FUSION");
-
-    unsetenv("TRIQ_SIM_DEDUP");
-    EXPECT_TRUE(defaultSimDedup());
-    setenv("TRIQ_SIM_DEDUP", "0", 1);
-    EXPECT_FALSE(defaultSimDedup());
-    unsetenv("TRIQ_SIM_DEDUP");
-}
-
 /** Compile one benchmark for IBMQ5 and return its hardware circuit. */
 CompileResult
 compiledPeres(const Device &dev, const Calibration &c)

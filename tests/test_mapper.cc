@@ -451,21 +451,6 @@ TEST(PlannerSearch, StrongBoundNeverExpandsMoreNodes)
     }
 }
 
-TEST(PlannerSearch, EnvVetoFallsBackToLegacyBound)
-{
-    Device dev = makeIbmQ5();
-    ReliabilityMatrix rel = randomMatrix(dev, 31);
-    Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
-    ProgramInfo info = ProgramInfo::fromCircuit(c);
-    setenv("TRIQ_MAPPER_BOUND", "0", 1);
-    Mapping m = mapQubits(info, rel, plannerOpts(true, true, true));
-    unsetenv("TRIQ_MAPPER_BOUND");
-    EXPECT_EQ(m.boundType, "legacy");
-    EXPECT_TRUE(m.optimal);
-    EXPECT_NEAR(m.minReliability, bruteForceBest(info, rel, true),
-                1e-9);
-}
-
 TEST(WarmStart, MatchesColdSearchValue)
 {
     // A warm start changes where the incumbent comes from, never what
@@ -580,22 +565,6 @@ TEST(WarmStart, AnytimeUnderExpiredDeadline)
     EXPECT_TRUE(m.warmStarted);
     EXPECT_FALSE(m.optimal);
     EXPECT_EQ(m.progToHw, opts.warmStart);
-}
-
-TEST(WarmStart, EnvVetoDisablesWarmStart)
-{
-    Device dev = makeIbmQ5();
-    ReliabilityMatrix rel = randomMatrix(dev, 97);
-    Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
-    ProgramInfo info = ProgramInfo::fromCircuit(c);
-    MappingOptions opts;
-    opts.warmStart.resize(static_cast<size_t>(info.numProgQubits));
-    std::iota(opts.warmStart.begin(), opts.warmStart.end(), 0);
-    setenv("TRIQ_MAPPER_WARM", "0", 1);
-    Mapping m = mapQubits(info, rel, opts);
-    unsetenv("TRIQ_MAPPER_WARM");
-    EXPECT_FALSE(m.warmStarted);
-    EXPECT_TRUE(m.optimal);
 }
 
 } // namespace

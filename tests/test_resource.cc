@@ -20,6 +20,7 @@
 #include "core/compiler.hh"
 #include "device/machines.hh"
 #include "service/cost_model.hh"
+#include "sim/compact.hh"
 #include "sim/executor.hh"
 #include "sim/sim_cost.hh"
 #include "workloads/benchmarks.hh"
@@ -283,17 +284,25 @@ TEST(CostModel, RejectsOnPredictedDeadlineOverrun)
 namespace
 {
 
+/** BV8 compiled for IBMQ14 against day 0. */
+Circuit
+compiledBV8()
+{
+    Device dev = makeIbmQ14();
+    CompileOptions opts;
+    return compileForDevice(makeBenchmark("BV8"), dev, dev.calibrate(0),
+                            opts)
+        .hwCircuit;
+}
+
 ExecutionResult
 runBV8(int threads)
 {
     Device dev = makeIbmQ14();
-    Calibration calib = dev.calibrate(0);
-    CompileOptions opts;
-    CompileResult res =
-        compileForDevice(makeBenchmark("BV8"), dev, calib, opts);
     ExecOptions eo;
     eo.threads = threads;
-    return executeNoisy(res.hwCircuit, dev, calib, 500, 99, eo);
+    return executeNoisy(compiledBV8(), dev, dev.calibrate(0), 500, 99,
+                        eo);
 }
 
 } // namespace
@@ -323,6 +332,38 @@ TEST(ExecutorGovernor, ImpossibleBudgetThrowsStructuredError)
     }
     // The refused run must not leak reservations.
     EXPECT_EQ(processGovernor().committedBytes(), 0ull);
+}
+
+TEST(ExecutorGovernor, DeepSnapshotsAreReserved)
+{
+    // BV8 at 500 trials has fault patterns sharing a two-injection
+    // prefix, so the dedup engine wants a second snapshot level — one
+    // state beyond the run's plan.
+    ResourceGovernor &gov = processGovernor();
+    ExecutionResult roomy;
+    {
+        BudgetGuard guard(0); // unlimited, still tracked
+        long before = gov.stats().reservations;
+        roomy = runBV8(1);
+        EXPECT_GE(gov.stats().reservations - before, 2)
+            << "only the plan was reserved";
+    }
+    // With exactly the plan as the budget every deeper level is
+    // refused; the run resumes from shallower snapshots and must stay
+    // bit-identical, for any thread count.
+    const int active = compactCircuit(compiledBV8()).circuit.numQubits();
+    for (int threads : {1, 4}) {
+        BudgetGuard guard(predictSimulationBytes(active, threads));
+        long refusals = gov.stats().refusals;
+        ExecutionResult tight = runBV8(threads);
+        if (threads == 1)
+            EXPECT_GT(gov.stats().refusals, refusals);
+        EXPECT_EQ(tight.histogram, roomy.histogram);
+        EXPECT_EQ(tight.successRate, roomy.successRate);
+        EXPECT_EQ(tight.simulatedTrajectories,
+                  roomy.simulatedTrajectories);
+    }
+    EXPECT_EQ(gov.committedBytes(), 0ull);
 }
 
 TEST(ExecutorGovernor, ReservationsDrainAfterSuccessfulRun)

@@ -69,7 +69,7 @@ struct Args
     int day = 0;
     int trials = 2000;
     int simThreads = 0; // 0 = TRIQ_SIM_THREADS env (default serial)
-    int simFusion = 0;  // 0 = TRIQ_SIM_FUSION env (default on)
+    int simFusion = 0;  // 0 = default (on)
     double budgetMs = 0.0; // 0 = unlimited
     long nodeBudget = 0;   // 0 = engine default
     bool strictCalibration = false;
@@ -111,8 +111,7 @@ usage()
         "                      -1 or env 0 = adaptive cost model;\n"
         "                      results are identical for any value)\n"
         "  --sim-fusion N      gate fusion for --report trajectories:\n"
-        "                      1 on, -1 off (default: TRIQ_SIM_FUSION\n"
-        "                      env, else on)\n"
+        "                      1 on, -1 off (default on)\n"
         "  --crash-dir DIR     where an internal-error crash report is\n"
         "                      written (default triq-crash-<pid>/)\n"
         "  --replay DIR        re-run the invocation captured in a\n"
