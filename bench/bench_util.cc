@@ -9,8 +9,13 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "core/esp.hh"
+#include "sim/compact.hh"
+#include "sim/noise.hh"
+#include "sim/statevector.hh"
 #include "workloads/benchmarks.hh"
 
 namespace triq
@@ -114,6 +119,159 @@ successCell(const ExecutionResult &ex)
     if (!ex.correctIsModal)
         s += "*";
     return s;
+}
+
+namespace
+{
+
+/** Inject Pauli `code` (sampling-contract encoding) at site `s`. */
+void
+injectReferencePauli(StateVector &sv, const ErrorSite &s, int code)
+{
+    auto pauli = [&](int q, int which) { // 1 X, 2 Y, 3 Z
+        if (which == 1)
+            sv.applyX(q);
+        else if (which == 2)
+            sv.applyY(q);
+        else if (which == 3)
+            sv.applyZ(q);
+    };
+    if (s.idle)
+        pauli(s.q0, 3);
+    else if (s.q1 == -1)
+        pauli(s.q0, code + 1);
+    else {
+        pauli(s.q0, code & 3);
+        pauli(s.q1, (code >> 2) & 3);
+    }
+}
+
+} // namespace
+
+ExecutionResult
+referenceExecute(const Circuit &hw, const Device &dev,
+                 const Calibration &calib, int trials, uint64_t seed)
+{
+    if (trials < 1)
+        fatal("referenceExecute: need at least one trial");
+    Calibration safe = calib;
+    Diagnostics diags("calibration");
+    safe.validate(dev.topology(), ValidateMode::Sanitize, diags);
+    diags.throwIfErrors("referenceExecute: unusable calibration");
+
+    // Error sites live on the full-width circuit; relabel them onto the
+    // compact register the simulation runs on.
+    std::vector<ErrorSite> sites =
+        collectErrorSites(hw, dev.topology(), safe);
+    const CompactCircuit cc = compactCircuit(hw);
+    for (ErrorSite &s : sites) {
+        s.q0 = cc.hwToCompact[static_cast<size_t>(s.q0)];
+        if (s.q1 != -1)
+            s.q1 = cc.hwToCompact[static_cast<size_t>(s.q1)];
+    }
+    const Circuit &circ = cc.circuit;
+    const std::vector<ProgQubit> measured = circ.measuredQubits();
+    if (measured.empty())
+        fatal("referenceExecute: circuit measures no qubits");
+    std::vector<double> ro_err;
+    for (ProgQubit q : measured)
+        ro_err.push_back(
+            safe.errRO[static_cast<size_t>(
+                cc.compactToHw[static_cast<size_t>(q)])]);
+    auto outcome_key = [&](uint64_t basis) {
+        uint64_t key = 0;
+        for (size_t k = 0; k < measured.size(); ++k)
+            key |= ((basis >> measured[k]) & 1) << k;
+        return key;
+    };
+
+    // Injection order: ascending (gateIdx, site index).
+    std::vector<int> inj_order(sites.size());
+    for (size_t i = 0; i < sites.size(); ++i)
+        inj_order[i] = static_cast<int>(i);
+    std::stable_sort(inj_order.begin(), inj_order.end(),
+                     [&](int a, int b) {
+                         return sites[static_cast<size_t>(a)].gateIdx <
+                                sites[static_cast<size_t>(b)].gateIdx;
+                     });
+
+    // Gate by gate from |0...0>, each (site, code) injected right after
+    // its site's gate; `injections` is in injection order.
+    auto replay = [&](StateVector &sv,
+                      const std::vector<std::pair<int, int>> &injections) {
+        sv.reset();
+        size_t next = 0;
+        for (int gi = 0; gi < circ.numGates(); ++gi) {
+            const Gate &g = circ.gate(gi);
+            if (g.kind != GateKind::Measure)
+                sv.applyGate(g);
+            for (; next < injections.size() &&
+                   sites[static_cast<size_t>(injections[next].first)]
+                           .gateIdx == gi;
+                 ++next)
+                injectReferencePauli(
+                    sv, sites[static_cast<size_t>(injections[next].first)],
+                    injections[next].second);
+        }
+    };
+
+    StateVector ideal(circ.numQubits());
+    replay(ideal, {});
+    std::vector<double> marginal(uint64_t{1} << measured.size(), 0.0);
+    for (uint64_t b = 0; b < ideal.dim(); ++b)
+        marginal[outcome_key(b)] += ideal.probability(b);
+
+    ExecutionResult res;
+    res.trials = trials;
+    res.correctOutcome = static_cast<uint64_t>(
+        std::max_element(marginal.begin(), marginal.end()) -
+        marginal.begin());
+    res.esp = estimatedSuccessProbability(hw, dev.topology(), safe);
+    res.noErrorProb = noErrorProbability(sites);
+
+    StateVector traj(circ.numQubits());
+    std::vector<bool> fired(sites.size());
+    std::vector<std::pair<int, int>> injections;
+    int successes = 0;
+    for (int lo = 0; lo < trials; lo += kTrialChunkSize) {
+        Rng rng = Rng::stream(trialStreamSeed(seed),
+                              static_cast<uint64_t>(lo / kTrialChunkSize));
+        for (int t = lo; t < std::min(trials, lo + kTrialChunkSize); ++t) {
+            for (size_t i = 0; i < sites.size(); ++i)
+                fired[i] = rng.bernoulli(sites[i].prob);
+            injections.clear();
+            for (int si : inj_order) {
+                const ErrorSite &s = sites[static_cast<size_t>(si)];
+                if (!fired[static_cast<size_t>(si)])
+                    continue;
+                int code = s.idle        ? 0
+                           : s.q1 == -1 ? rng.uniformInt(3)
+                                         : 1 + rng.uniformInt(15);
+                injections.emplace_back(si, code);
+            }
+            uint64_t basis;
+            if (injections.empty()) {
+                basis = ideal.sampleMeasurement(rng);
+            } else {
+                ++res.simulatedTrajectories;
+                replay(traj, injections);
+                basis = traj.sampleMeasurement(rng);
+            }
+            uint64_t key = outcome_key(basis);
+            for (size_t k = 0; k < measured.size(); ++k)
+                if (rng.bernoulli(ro_err[k]))
+                    key ^= uint64_t{1} << k;
+            if (key == res.correctOutcome)
+                ++successes;
+            ++res.histogram[key];
+        }
+    }
+    res.successRate = static_cast<double>(successes) / trials;
+    int modal_count = 0;
+    for (const auto &[key, count] : res.histogram)
+        modal_count = std::max(modal_count, count);
+    res.correctIsModal = successes == modal_count;
+    return res;
 }
 
 namespace

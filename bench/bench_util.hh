@@ -107,6 +107,23 @@ ExecutionResult runCompiled(const CompileResult &res, const Device &dev,
 /** Success-rate cell: "0.87" or "0.12*" when not modal (paper: failed). */
 std::string successCell(const ExecutionResult &ex);
 
+/**
+ * The reference trajectory sampler that tests and micro_fusion hold
+ * executeNoisy against: serial and per trial, each faulty trial
+ * replayed gate by gate from |0...0> with no fusion, checkpoints,
+ * pattern dedup or threads. It consumes each chunk's Rng::stream in
+ * the sampling contract's per-trial order (sim/executor.hh), so its
+ * histogram is executeNoisy's up to floating-point reassociation in
+ * the fused kernels (~1e-15 per gate): equal in practice, but an
+ * empirical equality, not a bitwise one. simulatedTrajectories counts
+ * the faulty trials (each replays on its own); successRate,
+ * correctOutcome, correctIsModal, esp and noErrorProb mean what they
+ * mean in executeNoisy.
+ */
+ExecutionResult referenceExecute(const Circuit &hw, const Device &dev,
+                                 const Calibration &calib, int trials,
+                                 uint64_t seed = 12345);
+
 // ---------------------------------------------------------------------
 // The micro-bench harness.
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * Fusion + dedup microbenchmark: runs the fig07 benchmark set through
- * executeNoisy in four configurations — PR-1 baseline (fusion and
- * dedup off), fusion only, dedup only, and both — plus a threaded
- * both-on run, and emits BENCH_sim_fusion.json with per-benchmark and
- * aggregate wall-clock, speedups and histogram-identity flags.
+ * Trajectory-engine microbenchmark: runs the fig07 benchmark set
+ * through three configurations — the baseline (bench_util's serial
+ * per-trial reference, bench::referenceExecute: unfused, no
+ * checkpoints, no dedup) and executeNoisy's fusion + dedup engine,
+ * serial and threaded — and emits BENCH_sim_fusion.json with
+ * per-benchmark and aggregate wall-clock, speedups and
+ * histogram-identity flags.
  *
- * The run doubles as an acceptance check: every configuration must
- * reproduce the baseline's histogram exactly (dedup is bit-identical
- * by construction; fusion empirically — see DESIGN.md), and the
+ * The run doubles as an acceptance check: both engine runs must
+ * reproduce the reference's histogram exactly (empirically, because
+ * fusion reassociates floating point — see DESIGN.md), and the
  * process exits 4 when any benchmark disagrees.
  *
  * Usage:
@@ -59,21 +61,10 @@ try {
     int day = bench::defaultDay();
     Calibration calib = dev.calibrate(day);
 
-    // The five measured configurations. "baseline" reproduces the PR-1
-    // engine exactly: per-trial replay, no fusion.
-    struct Config
-    {
-        const char *name;
-        ExecOptions opts;
-    };
-    const Config configs[] = {
-        {"baseline", {.threads = 1, .fusion = -1, .dedup = -1}},
-        {"fusion_only", {.threads = 1, .fusion = 1, .dedup = -1}},
-        {"dedup_only", {.threads = 1, .fusion = -1, .dedup = 1}},
-        {"fusion_dedup", {.threads = 1, .fusion = 1, .dedup = 1}},
-        {"fusion_dedup_threaded",
-         {.threads = threads, .fusion = 1, .dedup = 1}},
-    };
+    // The three measured configurations: the per-trial reference, then
+    // the engine (fusion + dedup) serial and threaded.
+    const char *const configs[] = {"baseline", "fusion_dedup",
+                                   "fusion_dedup_threaded"};
     constexpr int kNumConfigs = sizeof(configs) / sizeof(configs[0]);
 
     double total_ms[kNumConfigs] = {};
@@ -97,8 +88,13 @@ try {
         const std::vector<double> ms = bench::rotatedMinMs(
             kNumConfigs, reps,
             [&](int ci) {
-                last = executeNoisy(compiled.hwCircuit, dev, calib,
-                                    trials, 12345, configs[ci].opts);
+                last = ci == 0
+                           ? bench::referenceExecute(compiled.hwCircuit,
+                                                     dev, calib, trials)
+                           : executeNoisy(compiled.hwCircuit, dev, calib,
+                                          trials, 12345,
+                                          {.threads = ci == 1 ? 1
+                                                              : threads});
             },
             [&](int ci, int rep) {
                 if (rep == 0)
@@ -110,7 +106,7 @@ try {
             if (res[ci].histogram != res[0].histogram ||
                 res[ci].successRate != res[0].successRate) {
                 identical = false;
-                verdict.breach(name + ": " + configs[ci].name +
+                verdict.breach(name + ": " + configs[ci] +
                                " differs from the baseline");
             }
         }
@@ -118,22 +114,20 @@ try {
         json.beginObject()
             .key("benchmark").value(name)
             .key("baseline_ms").value(ms[0])
-            .key("fusion_only_ms").value(ms[1])
-            .key("dedup_only_ms").value(ms[2])
-            .key("fusion_dedup_ms").value(ms[3])
-            .key("fusion_dedup_threaded_ms").value(ms[4])
-            .key("speedup").value(bench::ratio(ms[0], ms[3]))
+            .key("fusion_dedup_ms").value(ms[1])
+            .key("fusion_dedup_threaded_ms").value(ms[2])
+            .key("speedup").value(bench::ratio(ms[0], ms[1]))
             .key("faulty_trials").value(res[0].simulatedTrajectories)
-            .key("distinct_patterns").value(res[3].simulatedTrajectories)
+            .key("distinct_patterns").value(res[1].simulatedTrajectories)
             .key("histograms_identical").value(identical)
             .endObject();
     }
     json.endArray();
     for (int ci = 0; ci < kNumConfigs; ++ci)
-        json.key(std::string("total_") + configs[ci].name + "_ms")
+        json.key(std::string("total_") + configs[ci] + "_ms")
             .value(total_ms[ci]);
     for (int ci = 1; ci < kNumConfigs; ++ci)
-        json.key(std::string(configs[ci].name) + "_speedup")
+        json.key(std::string(configs[ci]) + "_speedup")
             .value(bench::ratio(total_ms[0], total_ms[ci]));
     json.key("identical_across_configs").value(!verdict.breached())
         .endObject();

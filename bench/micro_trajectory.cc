@@ -1,24 +1,24 @@
 /**
  * @file
  * Trajectory-engine microbenchmark: measures executeNoisy throughput
- * (trials/sec) on fig07-style compiled workloads in four
- * configurations — serial without prefix checkpointing, serial with
- * it, multi-threaded trajectories, and serial trajectories with
- * adaptive intra-state kernel threading — and emits one JSON object
+ * (trials/sec) on fig07-style compiled workloads in three
+ * configurations — serial, multi-threaded trajectories, and serial
+ * trajectories with adaptive intra-state kernel threading — and emits
+ * one JSON object
  * with a row per benchmark so CI can track the simulator's
  * performance trajectory across PRs. The default row set (BV8, QFT,
  * Adder) spans the study's width range: BV8 is wide and shallow, QFT
- * and Adder are narrow and gate-dense, which is where checkpointing
- * and threading trade places. --wide appends 20-24-qubit GHZ
+ * and Adder are narrow and gate-dense, which is where trajectory and
+ * kernel threading trade places. --wide appends 20-24-qubit GHZ
  * round-trip and QFT rows compiled onto the Google72 grid — the
  * register sizes where kernel threading (which shards amplitude
  * loops, not trials) starts to matter.
  *
- * Timing follows bench_util's protocol: the four configurations
+ * Timing follows bench_util's protocol: the three configurations
  * rotate within each row over a fixed three repetitions, each keeping
  * its minimum.
  *
- * The run doubles as a determinism check: all four configurations
+ * The run doubles as a determinism check: all three configurations
  * must produce bit-identical results per row, the JSON records
  * whether they did, and the process exits 4 when any row disagrees.
  *
@@ -125,24 +125,21 @@ try {
         }
     }
 
-    // The four configurations, rotated within each row:
-    //  0. serial with checkpointing off: every faulty trajectory
-    //     replays the full circuit from |0...0>, the pre-optimization
-    //     behavior;
-    //  1. serial with automatic prefix checkpointing;
-    //  2. threaded with checkpointing; must match the serial run bit
-    //     for bit (chunk-sharded RNG + chunk-ordered merge);
-    //  3. serial trajectories with adaptive intra-state kernel
-    //     threading: the same memory plan as 1 (kernel workers add no
-    //     state copies), sharding amplitude loops instead of trials —
-    //     the configuration the governor's low-memory plan degrades to
-    //     on big registers.
-    const ExecOptions configs[4] = {
-        {.threads = 1, .checkpointInterval = -1},
+    // The three configurations, rotated within each row:
+    //  0. serial;
+    //  1. threaded; must match the serial run bit for bit
+    //     (chunk-sharded RNG, disjoint per-trial result slots);
+    //  2. serial trajectories with adaptive intra-state kernel
+    //     threading: the same memory plan as 0 (kernel workers add no
+    //     state copies), sharding amplitude loops instead of pattern
+    //     groups — the configuration the governor's low-memory plan
+    //     degrades to on big registers.
+    const ExecOptions configs[] = {
         {.threads = 1, .kernelThreads = 1},
         {.threads = threads},
         {.threads = 1, .kernelThreads = -1},
     };
+    constexpr int kNumConfigs = sizeof(configs) / sizeof(configs[0]);
 
     bench::Verdict verdict("micro_trajectory");
     JsonWriter json;
@@ -153,9 +150,9 @@ try {
         .key("threads").value(threads)
         .key("rows").beginArray();
     for (const RowSpec &spec : specs) {
-        ExecutionResult last, res[4];
+        ExecutionResult last, res[kNumConfigs];
         const std::vector<double> ms = bench::rotatedMinMs(
-            4, kReps,
+            kNumConfigs, kReps,
             [&](int c) {
                 last = executeNoisy(spec.hw, spec.dev, spec.calib,
                                     spec.trials, 12345, configs[c]);
@@ -166,12 +163,12 @@ try {
             });
 
         bool identical = true;
-        for (int c : {0, 2, 3})
+        for (int c = 1; c < kNumConfigs; ++c)
             identical = identical &&
-                        res[c].successRate == res[1].successRate &&
+                        res[c].successRate == res[0].successRate &&
                         res[c].simulatedTrajectories ==
-                            res[1].simulatedTrajectories &&
-                        res[c].histogram == res[1].histogram;
+                            res[0].simulatedTrajectories &&
+                        res[c].histogram == res[0].histogram;
         if (!identical)
             verdict.breach(spec.name + ": results differ across configs");
 
@@ -183,20 +180,16 @@ try {
             .key("device").value(spec.dev.name())
             .key("trials").value(spec.trials)
             .key("simulated_trajectories")
-            .value(res[1].simulatedTrajectories)
-            .key("success_rate").value(res[1].successRate)
-            .key("serial_no_checkpoint_ms").value(ms[0])
-            .key("serial_no_checkpoint_trials_per_sec")
-            .value(trials_per_sec(ms[0]))
-            .key("serial_ms").value(ms[1])
-            .key("serial_trials_per_sec").value(trials_per_sec(ms[1]))
-            .key("checkpoint_speedup").value(bench::ratio(ms[0], ms[1]))
-            .key("threaded_ms").value(ms[2])
-            .key("threaded_trials_per_sec").value(trials_per_sec(ms[2]))
-            .key("thread_speedup").value(bench::ratio(ms[1], ms[2]))
-            .key("kernel_ms").value(ms[3])
-            .key("kernel_trials_per_sec").value(trials_per_sec(ms[3]))
-            .key("kernel_speedup").value(bench::ratio(ms[1], ms[3]))
+            .value(res[0].simulatedTrajectories)
+            .key("success_rate").value(res[0].successRate)
+            .key("serial_ms").value(ms[0])
+            .key("serial_trials_per_sec").value(trials_per_sec(ms[0]))
+            .key("threaded_ms").value(ms[1])
+            .key("threaded_trials_per_sec").value(trials_per_sec(ms[1]))
+            .key("thread_speedup").value(bench::ratio(ms[0], ms[1]))
+            .key("kernel_ms").value(ms[2])
+            .key("kernel_trials_per_sec").value(trials_per_sec(ms[2]))
+            .key("kernel_speedup").value(bench::ratio(ms[0], ms[2]))
             .key("identical_across_configs").value(identical)
             .endObject();
     }

@@ -259,7 +259,7 @@ planKernel(const SchedCalib &c, double amp_ops, int setting,
     const double serial_us = amp_ops / c.ampOpsPerUs;
     d.predictedSerialMs = serial_us / 1000.0;
     d.predictedMs = d.predictedSerialMs;
-    if (setting == 1)
+    if (setting == 1 || (setting == 0 && amp_ops < kMinKernelAmpOps))
         return d;
 
     // One shard per worker: the loop is homogeneous, so finer batching
@@ -297,25 +297,6 @@ replayOps(int qubits, int gates)
 }
 
 } // namespace
-
-double
-estimateChunkUs(const SchedCalib &c, int qubits, int gates,
-                int chunk_trials, double faulty_fraction)
-{
-    faulty_fraction = std::clamp(faulty_fraction, 0.0, 1.0);
-    const double dim = std::ldexp(1.0, std::clamp(qubits, 0, 40));
-    // A faulty trial replays ~half the circuit on average (prefix
-    // checkpoints skip the clean prefix); a fault-free trial costs one
-    // sampling scan. Every trial pays its per-site Bernoulli draws,
-    // proxied by the gate count.
-    const double faulty_ops = 0.5 * replayOps(qubits, gates) + 2.0 * dim;
-    const double clean_ops = 2.0 * dim;
-    const double draw_ops = 4.0 * std::max(gates, 0);
-    const double per_trial = faulty_fraction * faulty_ops +
-                             (1.0 - faulty_fraction) * clean_ops +
-                             draw_ops;
-    return std::max(chunk_trials, 0) * per_trial / c.ampOpsPerUs;
-}
 
 double
 estimateGroupUs(const SchedCalib &c, int qubits, int gates)

@@ -156,9 +156,10 @@ SchedDecision planForced(const SchedCalib &c, int items,
  * `setting` follows the TRIQ_KERNEL_THREADS convention: 1 = true
  * serial (the pool is never touched), N > 1 = forced to N workers
  * even when the model predicts a loss (benches and bit-identity
- * tests), 0 = adaptive — threaded only when the modeled win clears
- * the same margin planParallel uses, so small registers stay serial
- * and a 1-CPU box always picks the serial path.
+ * tests), 0 = adaptive — serial below kMinKernelAmpOps amplitude
+ * updates per pass, and above it threaded only when the modeled win
+ * clears the same margin planParallel uses, so small registers stay
+ * serial and a 1-CPU box always picks the serial path.
  *
  * Determinism: shards are disjoint amplitude groups and kernels carry
  * no cross-group reductions, so every plan computes bit-identical
@@ -168,14 +169,13 @@ SchedDecision planKernel(const SchedCalib &c, double amp_ops, int setting,
                          bool pool_hot = false);
 
 /**
- * Estimated serial microseconds to noisy-simulate one RNG chunk of
- * `chunk_trials` trials of a compact `qubits`-wide circuit with
- * `gates` gates, of which a `faulty_fraction` of trials replay the
- * circuit (the rest sample the cached ideal state).
- * Monotone in every argument.
+ * The adaptive kernel plan's serial floor, in amplitude updates per
+ * pass (2^14). Below it the pass takes the serial path whatever the
+ * calibration says: the model charges one dispatch per shard, but a
+ * kernel pays a whole fork-join round trip per gate, which at these
+ * sizes costs more than the loop itself.
  */
-double estimateChunkUs(const SchedCalib &c, int qubits, int gates,
-                       int chunk_trials, double faulty_fraction);
+constexpr double kMinKernelAmpOps = 16384.0;
 
 /**
  * Estimated serial microseconds to replay one deduplicated

@@ -3,13 +3,14 @@
  * A small reusable worker pool for data-parallel simulation and
  * compilation work.
  *
- * The trajectory executor shards trials into fixed-size chunks and runs
- * them here; determinism comes from the sharded RNG streams and the
- * chunk-ordered merge, not from any scheduling property of this pool,
- * so workers are free to steal whatever job is next.
+ * The trajectory executor presamples fixed-size trial chunks and
+ * replays slices of fault-pattern groups here; determinism comes from
+ * the sharded RNG streams and disjoint per-trial result slots, not
+ * from any scheduling property of this pool, so workers are free to
+ * steal whatever job is next.
  *
  * Jobs must not themselves submit to the same pool (no nesting); the
- * executor's flat chunk fan-out never needs it.
+ * executor's flat fan-outs never need it.
  *
  * Enqueue granularity matters: submitting N jobs one by one takes N
  * lock acquisitions and N condition-variable signals, which is exactly

@@ -79,8 +79,7 @@ CrashBundle::write(const std::string &dir) const
          << "node_budget=" << nodeBudget << "\n"
          << "seed=" << seed << "\n"
          << "trials=" << trials << "\n"
-         << "sim_threads=" << simThreads << "\n"
-         << "sim_fusion=" << simFusion << "\n";
+         << "sim_threads=" << simThreads << "\n";
     if (!requestId.empty())
         opts << "request_id=" << requestId << "\n";
     if (!schedMode.empty())
@@ -153,8 +152,6 @@ CrashBundle::load(const std::string &dir)
             b.trials = std::atoi(val.c_str());
         else if (key == "sim_threads")
             b.simThreads = std::atoi(val.c_str());
-        else if (key == "sim_fusion")
-            b.simFusion = std::atoi(val.c_str());
         else if (key == "request_id")
             b.requestId = val;
         else if (key == "sched_mode")
@@ -164,7 +161,8 @@ CrashBundle::load(const std::string &dir)
         else if (key == "sched_items_per_task")
             b.schedItemsPerTask = std::atoi(val.c_str());
         // Unknown keys are skipped so newer bundles load in older
-        // builds; the replay just ignores options it predates.
+        // builds and retired keys (sim_fusion) still load in newer
+        // ones; the replay just ignores options it does not know.
     }
 
     if (fs::exists(fs::path(dir) / kEnvironmentFile)) {

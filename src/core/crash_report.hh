@@ -84,7 +84,6 @@ struct CrashBundle
     uint64_t seed = 12345;
     int trials = 2000;
     int simThreads = 0;
-    int simFusion = 0;
 
     /**
      * Request id when the crash happened serving a triqd request

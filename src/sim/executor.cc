@@ -26,13 +26,6 @@ namespace triq
 namespace
 {
 
-/**
- * Trials per RNG chunk. Part of the sampling contract: chunk ci draws
- * from the stream (seed, ci), so changing it changes which random
- * stream each trial draws from.
- */
-constexpr int kChunkSize = 64;
-
 /** Milliseconds since `t0`. */
 double
 msSince(std::chrono::steady_clock::time_point t0)
@@ -66,7 +59,7 @@ runPerPlan(const SchedDecision &dec, int items,
                       });
 }
 
-/** Histograms this narrow use a flat per-chunk count vector. */
+/** Histograms this narrow are tallied in a flat count vector. */
 constexpr size_t kFlatHistogramBits = 12;
 
 /** Snapshot memory budget for automatic checkpoint spacing. */
@@ -89,57 +82,35 @@ struct Checkpoint
     StateVector state;
 };
 
-/** Read-only per-call context shared by every chunk. */
+/** Read-only per-call context shared by every chunk and group slice. */
 struct TrajectoryContext
 {
     const Circuit *circuit; // compact circuit
     const std::vector<ErrorSite> *sites;
     const std::vector<int> *injOrder; // site indices by (gateIdx, index)
-    const std::vector<ProgQubit> *measured;
     const std::vector<double> *roErr;
     const StateVector *ideal;
     const std::vector<Checkpoint> *checkpoints; // ascending gatesApplied
-    const FusedProgram *fused;                  // null = replay plain gates
-    uint64_t correctOutcome;
-    bool flatHistogram;
+    const FusedProgram *fused;
+
+    /**
+     * LCP snapshot levels per group slice that the run's reservation
+     * already covers: 1 under the full plan (predictSimulationBytes
+     * charges one snapshot per worker), 0 under the low-memory plan
+     * (ideal + one trajectory state). runGroupSlice reserves every
+     * deeper level against the governor before allocating it.
+     */
+    int coveredSnapshotLevels = 1;
 
     /**
      * Kernel-thread setting for trajectory states (see
      * StateVector::setKernelThreads). Must be 1 whenever the
-     * trajectory fan-out itself is threaded: chunk workers live on the
+     * trajectory fan-out itself is threaded: slice workers live on the
      * shared process pool and pool jobs must not submit to it. The
      * fan-out planner sets this per phase.
      */
     int kernelThreads = 1;
 };
-
-/** Per-chunk accumulator; merged into the result in chunk order. */
-struct ChunkStats
-{
-    int successes = 0;
-    int simulated = 0;
-    std::vector<int> flat;
-    std::unordered_map<uint64_t, int> sparse;
-};
-
-/**
- * Apply the unitary gates in [from, to) — through the fused program
- * when fusion is on, gate by gate otherwise.
- */
-void
-advanceState(const TrajectoryContext &ctx, StateVector &sv, int from,
-             int to)
-{
-    if (ctx.fused != nullptr) {
-        ctx.fused->apply(sv, from, to);
-        return;
-    }
-    for (int gi = from; gi < to; ++gi) {
-        const Gate &g = ctx.circuit->gate(gi);
-        if (g.kind != GateKind::Measure)
-            sv.applyGate(g);
-    }
-}
 
 /**
  * Draw the Pauli choice for a fired site. Idle sites deterministically
@@ -213,81 +184,12 @@ seekCheckpoint(const TrajectoryContext &ctx, StateVector &sv,
 }
 
 /**
- * Run one chunk of trials on the RNG stream (seed, chunk index). Every
- * random draw happens in a fixed per-trial order (site Bernoullis,
- * Pauli choices in gate order, measurement sample, readout flips), so
- * the chunk's outcome depends only on its stream — never on which
- * worker thread runs it or on checkpoint spacing.
- */
-void
-runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
-         ChunkStats &out)
-{
-    const Circuit &circuit = *ctx.circuit;
-    const std::vector<ErrorSite> &sites = *ctx.sites;
-    const std::vector<ProgQubit> &measured = *ctx.measured;
-    const std::vector<double> &ro_err = *ctx.roErr;
-    const int num_gates = circuit.numGates();
-
-    StateVector traj(circuit.numQubits());
-    traj.setKernelThreads(ctx.kernelThreads);
-    std::vector<bool> fired(sites.size(), false);
-    if (ctx.flatHistogram)
-        out.flat.assign(uint64_t{1} << measured.size(), 0);
-    else
-        out.sparse.reserve(static_cast<size_t>(chunk_trials));
-
-    for (int t = 0; t < chunk_trials; ++t) {
-        bool any = false;
-        int first_gate = INT_MAX;
-        for (size_t i = 0; i < sites.size(); ++i) {
-            fired[i] = rng.bernoulli(sites[i].prob);
-            if (fired[i]) {
-                any = true;
-                first_gate = std::min(first_gate, sites[i].gateIdx);
-            }
-        }
-        uint64_t basis;
-        if (!any) {
-            // Fault-free trajectory: sample from the cached ideal state.
-            basis = ctx.ideal->sampleMeasurement(rng);
-        } else {
-            ++out.simulated;
-            int pos = seekCheckpoint(ctx, traj, first_gate);
-            // Walk the fired sites in injection order — (gateIdx, site
-            // index) ascending — advancing the state up to each site's
-            // gate before injecting its Pauli.
-            for (int si : *ctx.injOrder) {
-                if (!fired[static_cast<size_t>(si)])
-                    continue;
-                const ErrorSite &s = sites[static_cast<size_t>(si)];
-                advanceState(ctx, traj, pos, s.gateIdx + 1);
-                pos = std::max(pos, s.gateIdx + 1);
-                injectPauli(traj, s, drawPauliCode(rng, s));
-            }
-            advanceState(ctx, traj, pos, num_gates);
-            basis = traj.sampleMeasurement(rng);
-        }
-        uint64_t key = outcomeKey(basis, measured);
-        // Classical readout errors flip measured bits independently.
-        for (size_t k = 0; k < measured.size(); ++k)
-            if (rng.bernoulli(ro_err[k]))
-                key ^= uint64_t{1} << k;
-        if (key == ctx.correctOutcome)
-            ++out.successes;
-        if (ctx.flatHistogram)
-            ++out.flat[key];
-        else
-            ++out.sparse[key];
-    }
-}
-
-/**
- * Flat per-trial randomness the dedup engine pre-draws. The draws are
- * consumed from each trial's RNG position in exactly runChunk's order
- * (site Bernoullis, Pauli codes in injection order, one measurement
- * uniform, readout flips), so grouping trials afterwards cannot change
- * any trial's randomness. Fault patterns — fired (site << 5 | code)
+ * Flat per-trial randomness the engine pre-draws. The draws are
+ * consumed from each trial's RNG position in the sampling contract's
+ * order (executor.hh: site Bernoullis, Pauli codes in injection order,
+ * one measurement uniform, readout flips), so grouping trials
+ * afterwards cannot change any trial's randomness. Fault patterns —
+ * fired (site << 5 | code)
  * words in injection order — are stored back to back per chunk, so
  * presampling a trial allocates nothing.
  */
@@ -419,11 +321,12 @@ sampleGroupTrials(const StateVector &state, const PatternGroup &group,
  * so the reuse is bitwise invisible — results do not depend on slice
  * boundaries, thread count or snapshot depth.
  *
- * Snapshot memory: the run's reservation (predictSimulationBytes)
- * covers one snapshot level per worker; every deeper level reserves
- * its own state against the process governor before it is allocated.
- * When the governor refuses one, the depth stays capped for the rest
- * of the slice and patterns resume from the deepest held snapshot.
+ * Snapshot memory: the run's reservation covers
+ * ctx.coveredSnapshotLevels levels per worker; every deeper level
+ * reserves its own state against the process governor before it is
+ * allocated. When the governor refuses one, the depth stays capped for
+ * the rest of the slice and patterns resume from the deepest held
+ * snapshot.
  */
 void
 runGroupSlice(const TrajectoryContext &ctx,
@@ -437,7 +340,7 @@ runGroupSlice(const TrajectoryContext &ctx,
     traj.setKernelThreads(ctx.kernelThreads);
     // Declared before `snaps` so the states are freed before their
     // reservations are returned.
-    std::vector<MemReservation> deep_holds; // levels past the first
+    std::vector<MemReservation> deep_holds; // levels past the covered ones
     std::vector<StateVector> snaps; // state after injection k
     std::vector<int> snapPos;       // gates applied at that point
     int depth_cap = INT_MAX;        // snaps.size() at the first refusal
@@ -461,7 +364,8 @@ runGroupSlice(const TrajectoryContext &ctx,
         }
         const int want = std::min(next_lcp, depth_cap);
         while (static_cast<int>(snaps.size()) < want) {
-            if (!snaps.empty()) {
+            if (static_cast<int>(snaps.size()) >=
+                ctx.coveredSnapshotLevels) {
                 MemReservation hold = MemReservation::tryReserve(
                     processGovernor(), stateVectorBytes(nq));
                 if (hold.bytes() == 0) {
@@ -487,7 +391,7 @@ runGroupSlice(const TrajectoryContext &ctx,
         for (int k = resume; k < group.patternLen; ++k) {
             const uint32_t entry = group.pattern[k];
             const ErrorSite &s = sites[entry >> 5];
-            advanceState(ctx, traj, pos, s.gateIdx + 1);
+            ctx.fused->apply(traj, pos, s.gateIdx + 1);
             pos = std::max(pos, s.gateIdx + 1);
             injectPauli(traj, s, static_cast<int>(entry & 31u));
             if (k < keep) {
@@ -495,7 +399,7 @@ runGroupSlice(const TrajectoryContext &ctx,
                 snapPos[static_cast<size_t>(k)] = pos;
             }
         }
-        advanceState(ctx, traj, pos, ctx.circuit->numGates());
+        ctx.fused->apply(traj, pos, ctx.circuit->numGates());
         sampleGroupTrials(traj, group, draws, basis_of);
         valid_depth = keep;
     }
@@ -574,9 +478,9 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     // Reserve the run's predicted peak memory against the process
     // budget before the first state vector exists. When the full plan
     // does not fit, degrade to the low-memory plan (serial, no
-    // checkpoints, no dedup: ideal + one trajectory state) before
-    // giving up; only when even that cannot fit does the reservation
-    // throw a structured ResourceError.
+    // checkpoints, ideal + one trajectory state, every LCP snapshot
+    // reserved on its own) before giving up; only when even that
+    // cannot fit does the reservation throw a structured ResourceError.
     ResourceGovernor &gov = processGovernor();
     const int active_qubits = cc.circuit.numQubits();
     const int planned_workers =
@@ -597,25 +501,25 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         warn("executeNoisy: memory budget ",
              formatBytes(gov.budgetBytes()), " forces the low-memory ",
              "plan for ", hw.name(), " (serial trajectories, no ",
-             "checkpoints, no dedup; kernel threading unaffected — it ",
-             "adds no state copies)");
+             "checkpoints, snapshots only as the budget allows; kernel ",
+             "threading unaffected — it adds no state copies)");
     }
 
     // Ideal reference evolution, snapshotted every K gates so faulty
     // trajectories can resume mid-circuit. K is chosen so the snapshots
-    // stay within a fixed memory budget; the final state doubles as the
-    // fault-free sampling cache and the benchmark's correct answer.
-    // The ideal pass stays gate-by-gate even with fusion on, so the
-    // checkpoints (and the fault-free sampling cache) are bitwise
-    // independent of the fusion setting.
+    // stay within a fixed memory budget (the low-memory plan takes
+    // none); the final state doubles as the fault-free sampling cache
+    // and the benchmark's correct answer. The ideal pass stays gate by
+    // gate, so the checkpoints and the fault-free sampling cache do
+    // not depend on how the fusion pass groups gates.
     const int num_gates = cc.circuit.numGates();
     StateVector ideal(cc.circuit.numQubits());
     // The ideal evolution runs on the control thread, so it may always
     // shard its kernels; on small registers the adaptive plan (and the
     // serial default) keeps it serial.
     ideal.setKernelThreads(kernel_threads);
-    int interval = low_mem ? -1 : opts.checkpointInterval;
-    if (interval == 0) {
+    int interval = 0; // 0 = no checkpoints
+    if (!low_mem) {
         uint64_t bytes_per = ideal.dim() * sizeof(Cplx);
         int max_ckpts = static_cast<int>(std::clamp<uint64_t>(
             kCheckpointBudgetBytes / std::max<uint64_t>(bytes_per, 1), 1,
@@ -660,8 +564,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
              "); success is counted against the dominant outcome");
 
     // Injection order: site indices sorted by (gateIdx, site index).
-    // Both engines draw fired sites' Pauli codes and apply their
-    // injections in exactly this order.
+    // Fired sites' Pauli codes are drawn and injected in this order.
     std::vector<int> inj_order(sites.size());
     for (size_t i = 0; i < sites.size(); ++i)
         inj_order[i] = static_cast<int>(i);
@@ -671,42 +574,32 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                                 sites[static_cast<size_t>(b)].gateIdx;
                      });
 
-    const bool use_fusion = opts.fusion >= 0;
-    const bool use_dedup = !low_mem && opts.dedup >= 0;
-    FusedProgram fused_program;
-    if (use_fusion) {
-        // Align fused operators to the checkpoint interval so replays
-        // resumed from a checkpoint start on an operator boundary
-        // instead of falling back to plain gates mid-operator. A
-        // per-gate interval would forbid all fusion, so leave operators
-        // unaligned there — every boundary is an op boundary anyway
-        // once spans stay small.
-        FusionOptions fopt;
-        fopt.alignBoundary = interval > 1 ? interval : 0;
-        fused_program = FusedProgram(cc.circuit, fopt);
-    }
+    // Align fused operators to the checkpoint interval so replays
+    // resumed from a checkpoint start on an operator boundary instead
+    // of falling back to plain gates mid-operator. A per-gate interval
+    // would forbid all fusion, so leave operators unaligned there —
+    // every boundary is an op boundary anyway once spans stay small.
+    FusionOptions fopt;
+    fopt.alignBoundary = interval > 1 ? interval : 0;
+    const FusedProgram fused_program(cc.circuit, fopt);
 
     TrajectoryContext ctx;
     ctx.circuit = &cc.circuit;
     ctx.sites = &sites;
     ctx.injOrder = &inj_order;
-    ctx.measured = &measured;
     ctx.roErr = &ro_err;
     ctx.ideal = &ideal;
     ctx.checkpoints = &checkpoints;
-    ctx.fused = use_fusion ? &fused_program : nullptr;
-    ctx.correctOutcome = ideal_key;
-    ctx.flatHistogram = measured.size() <= kFlatHistogramBits;
+    ctx.fused = &fused_program;
+    ctx.coveredSnapshotLevels = low_mem ? 0 : 1;
 
-    // Shard trials into chunks; chunk ci owns the RNG stream
-    // (seed, ci), and chunks merge in index order below, so the result
-    // is a pure function of (seed, trials) — never of the thread count.
-    const int num_chunks = (trials + kChunkSize - 1) / kChunkSize;
-    const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
+    // Chunk ci owns the RNG stream (trialStreamSeed(seed), ci), so the
+    // result is a pure function of (seed, trials) — never of the
+    // thread count.
+    const int num_chunks = (trials + kTrialChunkSize - 1) / kTrialChunkSize;
+    const uint64_t stream_seed = trialStreamSeed(seed);
 
     const SchedCalib &scal = schedCalib();
-    const double faulty_frac =
-        std::clamp(1.0 - res.noErrorProb, 0.0, 1.0);
     auto plan = [&](int items, double us_per_item) {
         return threads_req > 0
                    ? planForced(scal, items, us_per_item, threads_req,
@@ -715,209 +608,138 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                                   processPoolStarted());
     };
 
-    if (use_dedup) {
-        // Phase A: pre-draw every trial's randomness, chunk-parallel.
-        // Chunks write disjoint trial slots and their own word buffers,
-        // so scheduling cannot change any draw.
-        PresampledDraws draws;
-        draws.chunkWords.resize(static_cast<size_t>(num_chunks));
-        draws.patternLen.resize(static_cast<size_t>(trials));
-        draws.firstGate.resize(static_cast<size_t>(trials));
-        draws.u.resize(static_cast<size_t>(trials));
-        draws.flips.resize(static_cast<size_t>(trials));
-        auto presample = [&](int ci) {
-            int lo = ci * kChunkSize;
-            int n = std::min(kChunkSize, trials - lo);
-            presampleChunk(ctx,
-                           Rng::stream(stream_seed,
-                                       static_cast<uint64_t>(ci)),
-                           lo, n,
-                           draws.chunkWords[static_cast<size_t>(ci)],
-                           draws);
-        };
-        // Presampling is cheap per chunk (a few Bernoullis per site),
-        // so the cost model usually keeps it serial — exactly the case
-        // where the old per-call pool spawn used to eat the win.
-        SchedDecision pre_dec =
-            plan(num_chunks,
-                 estimatePresampleUs(scal,
-                                     static_cast<int>(sites.size()),
-                                     kChunkSize));
-        runPerPlan(pre_dec, num_chunks, presample);
+    // Phase A: pre-draw every trial's randomness, chunk-parallel.
+    // Chunks write disjoint trial slots and their own word buffers, so
+    // scheduling cannot change any draw.
+    PresampledDraws draws;
+    draws.chunkWords.resize(static_cast<size_t>(num_chunks));
+    draws.patternLen.resize(static_cast<size_t>(trials));
+    draws.firstGate.resize(static_cast<size_t>(trials));
+    draws.u.resize(static_cast<size_t>(trials));
+    draws.flips.resize(static_cast<size_t>(trials));
+    auto presample = [&](int ci) {
+        int lo = ci * kTrialChunkSize;
+        int n = std::min(kTrialChunkSize, trials - lo);
+        presampleChunk(ctx,
+                       Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
+                       lo, n, draws.chunkWords[static_cast<size_t>(ci)],
+                       draws);
+    };
+    // Presampling is cheap per chunk (a few Bernoullis per site), so
+    // the cost model usually keeps it serial.
+    SchedDecision pre_dec =
+        plan(num_chunks,
+             estimatePresampleUs(scal, static_cast<int>(sites.size()),
+                                 kTrialChunkSize));
+    runPerPlan(pre_dec, num_chunks, presample);
 
-        // Phase B: group trials by identical fault pattern, in trial
-        // order (deterministic first-seen group numbering). The hash
-        // only picks a bucket; group identity is pattern equality.
-        std::vector<PatternGroup> groups;
-        std::unordered_map<uint64_t, std::vector<int>> buckets;
-        buckets.reserve(static_cast<size_t>(trials) / 2 + 1);
-        for (int ci = 0, t = 0; ci < num_chunks; ++ci) {
-            const uint32_t *w =
-                draws.chunkWords[static_cast<size_t>(ci)].data();
-            const int n =
-                std::min(kChunkSize, trials - ci * kChunkSize);
-            for (int k = 0; k < n; ++k, ++t) {
-                const int len =
-                    draws.patternLen[static_cast<size_t>(t)];
-                std::vector<int> &bucket =
-                    buckets[patternHash(w, len)];
-                int gidx = -1;
-                for (int g : bucket) {
-                    const PatternGroup &pg =
-                        groups[static_cast<size_t>(g)];
-                    if (pg.patternLen == len &&
-                        std::equal(pg.pattern, pg.pattern + len, w)) {
-                        gidx = g;
-                        break;
-                    }
+    // Phase B: group trials by identical fault pattern, in trial order
+    // (deterministic first-seen group numbering). The hash only picks
+    // a bucket; group identity is pattern equality.
+    std::vector<PatternGroup> groups;
+    std::unordered_map<uint64_t, std::vector<int>> buckets;
+    buckets.reserve(static_cast<size_t>(trials) / 2 + 1);
+    for (int ci = 0, t = 0; ci < num_chunks; ++ci) {
+        const uint32_t *w = draws.chunkWords[static_cast<size_t>(ci)].data();
+        const int n = std::min(kTrialChunkSize, trials - ci * kTrialChunkSize);
+        for (int k = 0; k < n; ++k, ++t) {
+            const int len = draws.patternLen[static_cast<size_t>(t)];
+            std::vector<int> &bucket = buckets[patternHash(w, len)];
+            int gidx = -1;
+            for (int g : bucket) {
+                const PatternGroup &pg = groups[static_cast<size_t>(g)];
+                if (pg.patternLen == len &&
+                    std::equal(pg.pattern, pg.pattern + len, w)) {
+                    gidx = g;
+                    break;
                 }
-                if (gidx < 0) {
-                    gidx = static_cast<int>(groups.size());
-                    PatternGroup g;
-                    g.pattern = w;
-                    g.patternLen = len;
-                    g.firstGate =
-                        draws.firstGate[static_cast<size_t>(t)];
-                    groups.push_back(std::move(g));
-                    bucket.push_back(gidx);
-                }
-                groups[static_cast<size_t>(gidx)].trials.push_back(t);
-                w += len;
             }
-        }
-
-        // Phase C: simulate each distinct pattern once. Groups are
-        // sorted by pattern content so patterns sharing an injection
-        // prefix run back to back and reuse the shared state (see
-        // runGroupSlice); each parallel worker takes one contiguous
-        // slice of the sorted order. Groups write disjoint basis_of
-        // slots and snapshot reuse is bitwise exact, so neither
-        // scheduling nor the slice boundaries can change any result.
-        std::vector<uint64_t> basis_of(static_cast<size_t>(trials));
-        const int num_groups = static_cast<int>(groups.size());
-        std::vector<int> order(static_cast<size_t>(num_groups));
-        for (int gi = 0; gi < num_groups; ++gi)
-            order[static_cast<size_t>(gi)] = gi;
-        std::sort(order.begin(), order.end(), [&](int a, int b) {
-            const PatternGroup &ga = groups[static_cast<size_t>(a)];
-            const PatternGroup &gb = groups[static_cast<size_t>(b)];
-            return std::lexicographical_compare(
-                ga.pattern, ga.pattern + ga.patternLen, gb.pattern,
-                gb.pattern + gb.patternLen);
-        });
-        SchedDecision dec =
-            plan(num_groups,
-                 estimateGroupUs(scal, cc.circuit.numQubits(),
-                                 num_gates));
-        // Kernel threading and the group fan-out share the process
-        // pool: when the fan-out is threaded, trajectory kernels must
-        // stay serial (pool jobs cannot submit to the pool); when it
-        // is serial, the kernels get the whole pool. Bit-identical
-        // either way.
-        ctx.kernelThreads = dec.threaded ? 1 : kernel_threads;
-        auto t_run = std::chrono::steady_clock::now();
-        if (!dec.threaded) {
-            runGroupSlice(ctx, groups, order, 0,
-                          static_cast<size_t>(num_groups), draws,
-                          basis_of);
-        } else {
-            // One contiguous slice per worker (not the generic batched
-            // ranges): coarse slices keep the LCP state sharing between
-            // neighboring patterns maximal, and slicing is bitwise
-            // invisible (see runGroupSlice).
-            const int slices = std::min(dec.threads, num_groups);
-            ThreadPool &pool = processPool(dec.threads);
-            parallelFor(pool, slices, [&](int w) {
-                size_t lo = static_cast<size_t>(num_groups) *
-                            static_cast<size_t>(w) /
-                            static_cast<size_t>(slices);
-                size_t hi = static_cast<size_t>(num_groups) *
-                            static_cast<size_t>(w + 1) /
-                            static_cast<size_t>(slices);
-                runGroupSlice(ctx, groups, order, lo, hi, draws,
-                              basis_of);
-            });
-            dec.threads = slices;
-            dec.tasks = slices;
-            dec.itemsPerTask = (num_groups + slices - 1) / slices;
-        }
-        dec.actualMs = msSince(t_run);
-        res.sched = dec;
-        for (const PatternGroup &g : groups)
-            if (g.patternLen > 0)
-                ++res.simulatedTrajectories;
-
-        // Phase D: serial tally in trial order.
-        int successes = 0;
-        if (ctx.flatHistogram) {
-            std::vector<int> total(uint64_t{1} << measured.size(), 0);
-            for (int t = 0; t < trials; ++t) {
-                uint64_t key =
-                    outcomeKey(basis_of[static_cast<size_t>(t)],
-                               measured) ^
-                    draws.flips[static_cast<size_t>(t)];
-                if (key == ideal_key)
-                    ++successes;
-                ++total[key];
+            if (gidx < 0) {
+                gidx = static_cast<int>(groups.size());
+                PatternGroup g;
+                g.pattern = w;
+                g.patternLen = len;
+                g.firstGate = draws.firstGate[static_cast<size_t>(t)];
+                groups.push_back(std::move(g));
+                bucket.push_back(gidx);
             }
-            res.histogram.reserve(total.size());
-            for (size_t k = 0; k < total.size(); ++k)
-                if (total[k] != 0)
-                    res.histogram.emplace(static_cast<uint64_t>(k),
-                                          total[k]);
-        } else {
-            res.histogram.reserve(static_cast<size_t>(trials));
-            for (int t = 0; t < trials; ++t) {
-                uint64_t key =
-                    outcomeKey(basis_of[static_cast<size_t>(t)],
-                               measured) ^
-                    draws.flips[static_cast<size_t>(t)];
-                if (key == ideal_key)
-                    ++successes;
-                ++res.histogram[key];
-            }
+            groups[static_cast<size_t>(gidx)].trials.push_back(t);
+            w += len;
         }
-        res.successRate = static_cast<double>(successes) / trials;
-        int modal_count = 0;
-        for (const auto &[key, count] : res.histogram)
-            if (count > modal_count)
-                modal_count = count;
-        res.correctIsModal = successes == modal_count;
-        return res;
     }
 
-    std::vector<ChunkStats> stats(static_cast<size_t>(num_chunks));
-    auto run_chunk = [&](int ci) {
-        int lo = ci * kChunkSize;
-        int n = std::min(kChunkSize, trials - lo);
-        runChunk(ctx, Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
-                 n, stats[static_cast<size_t>(ci)]);
-    };
+    // Phase C: simulate each distinct pattern once. Groups are sorted
+    // by pattern content so patterns sharing an injection prefix run
+    // back to back and reuse the shared state (see runGroupSlice);
+    // each parallel worker takes one contiguous slice of the sorted
+    // order. Groups write disjoint basis_of slots and snapshot reuse
+    // is bitwise exact, so neither scheduling nor the slice boundaries
+    // can change any result.
+    std::vector<uint64_t> basis_of(static_cast<size_t>(trials));
+    const int num_groups = static_cast<int>(groups.size());
+    std::vector<int> order(static_cast<size_t>(num_groups));
+    for (int gi = 0; gi < num_groups; ++gi)
+        order[static_cast<size_t>(gi)] = gi;
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+        const PatternGroup &ga = groups[static_cast<size_t>(a)];
+        const PatternGroup &gb = groups[static_cast<size_t>(b)];
+        return std::lexicographical_compare(
+            ga.pattern, ga.pattern + ga.patternLen, gb.pattern,
+            gb.pattern + gb.patternLen);
+    });
     SchedDecision dec =
-        plan(num_chunks, estimateChunkUs(scal, cc.circuit.numQubits(),
-                                         num_gates, kChunkSize,
-                                         faulty_frac));
-    // Same pool-sharing rule as the dedup path: threaded chunk fan-out
-    // means serial trajectory kernels, and vice versa. The low-memory
-    // degraded plan lands here with threads_req == 1, so its lone
-    // trajectory state keeps full kernel threading at the same 2-state
-    // footprint.
+        plan(num_groups,
+             estimateGroupUs(scal, cc.circuit.numQubits(), num_gates));
+    // Kernel threading and the group fan-out share the process pool:
+    // when the fan-out is threaded, trajectory kernels must stay
+    // serial (pool jobs cannot submit to the pool); when it is serial
+    // — always so under the low-memory plan — the kernels get the
+    // whole pool. Bit-identical either way.
     ctx.kernelThreads = dec.threaded ? 1 : kernel_threads;
     auto t_run = std::chrono::steady_clock::now();
-    runPerPlan(dec, num_chunks, run_chunk);
+    if (!dec.threaded) {
+        runGroupSlice(ctx, groups, order, 0,
+                      static_cast<size_t>(num_groups), draws, basis_of);
+    } else {
+        // One contiguous slice per worker (not the generic batched
+        // ranges): coarse slices keep the LCP state sharing between
+        // neighboring patterns maximal, and slicing is bitwise
+        // invisible (see runGroupSlice).
+        const int slices = std::min(dec.threads, num_groups);
+        ThreadPool &pool = processPool(dec.threads);
+        parallelFor(pool, slices, [&](int w) {
+            size_t lo = static_cast<size_t>(num_groups) *
+                        static_cast<size_t>(w) /
+                        static_cast<size_t>(slices);
+            size_t hi = static_cast<size_t>(num_groups) *
+                        static_cast<size_t>(w + 1) /
+                        static_cast<size_t>(slices);
+            runGroupSlice(ctx, groups, order, lo, hi, draws, basis_of);
+        });
+        dec.threads = slices;
+        dec.tasks = slices;
+        dec.itemsPerTask = (num_groups + slices - 1) / slices;
+    }
     dec.actualMs = msSince(t_run);
     res.sched = dec;
+    for (const PatternGroup &g : groups)
+        if (g.patternLen > 0)
+            ++res.simulatedTrajectories;
 
-    // Chunk-ordered merge keeps even the histogram's unordered-map
-    // construction sequence identical across thread counts.
+    // Phase D: serial tally in trial order. Narrow outcome registers
+    // count into a flat vector first.
     int successes = 0;
-    if (ctx.flatHistogram) {
+    auto key_of = [&](int t) {
+        return outcomeKey(basis_of[static_cast<size_t>(t)], measured) ^
+               draws.flips[static_cast<size_t>(t)];
+    };
+    if (measured.size() <= kFlatHistogramBits) {
         std::vector<int> total(uint64_t{1} << measured.size(), 0);
-        for (const ChunkStats &s : stats) {
-            successes += s.successes;
-            res.simulatedTrajectories += s.simulated;
-            for (size_t k = 0; k < total.size(); ++k)
-                total[k] += s.flat[k];
+        for (int t = 0; t < trials; ++t) {
+            uint64_t key = key_of(t);
+            if (key == ideal_key)
+                ++successes;
+            ++total[key];
         }
         res.histogram.reserve(total.size());
         for (size_t k = 0; k < total.size(); ++k)
@@ -925,11 +747,11 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                 res.histogram.emplace(static_cast<uint64_t>(k), total[k]);
     } else {
         res.histogram.reserve(static_cast<size_t>(trials));
-        for (const ChunkStats &s : stats) {
-            successes += s.successes;
-            res.simulatedTrajectories += s.simulated;
-            for (const auto &[key, count] : s.sparse)
-                res.histogram[key] += count;
+        for (int t = 0; t < trials; ++t) {
+            uint64_t key = key_of(t);
+            if (key == ideal_key)
+                ++successes;
+            ++res.histogram[key];
         }
     }
     res.successRate = static_cast<double>(successes) / trials;

@@ -7,26 +7,22 @@
  * the fraction of trials returning the benchmark's correct answer.
  *
  * Performance architecture (see DESIGN.md, "Simulator performance
- * architecture"):
+ * architecture"): one trajectory engine, fault-pattern deduplication.
  *  - the circuit is compacted onto its active qubits and trials in
  *    which no error site fires reuse the cached ideal state;
- *  - trials are sharded into fixed-size chunks, each owning the RNG
- *    stream Rng::stream(seed, chunk_index); chunks run on the shared
- *    process pool and merge in chunk order, so results are
- *    bit-identical for any thread count (TRIQ_SIM_THREADS; 0 = let the
- *    common/sched.hh cost model decide serial vs. threaded and batch
- *    several chunks per pool task);
- *  - faulty trajectories replay from the nearest ideal-prefix
- *    checkpoint before their first fired error site instead of from
- *    |0...0>;
- *  - gate fusion (sim/fusion.hh, default on) rewrites the compact
- *    circuit into fused kernels so each replay makes fewer passes over
- *    the state;
- *  - fault-pattern deduplication (default on) pre-samples every trial's fault pattern, simulates each distinct
- *    pattern once and draws all of its trials' measurement samples
- *    from the shared final state. Dedup consumes the per-trial RNG
- *    draws in exactly the per-trial engine's order, so its histograms
- *    are bit-identical to the dedup-off path.
+ *  - every trial's randomness is pre-drawn from its chunk's RNG stream
+ *    (the sampling contract below), so results are bit-identical for
+ *    any thread count (TRIQ_SIM_THREADS; 0 = let the common/sched.hh
+ *    cost model decide serial vs. threaded);
+ *  - trials are grouped by identical fault pattern and each distinct
+ *    pattern is simulated once; all of its trials' measurement
+ *    samples come from the shared final state;
+ *  - a pattern's replay resumes from the nearest ideal-prefix
+ *    checkpoint before its first fired error site, or from a snapshot
+ *    of the longest injection prefix it shares with the previous
+ *    pattern, instead of from |0...0>;
+ *  - gate fusion (sim/fusion.hh) rewrites the compact circuit into
+ *    fused kernels so each replay makes fewer passes over the state.
  */
 
 #ifndef TRIQ_SIM_EXECUTOR_HH
@@ -43,6 +39,35 @@
 
 namespace triq
 {
+
+/**
+ * The sampling contract. Trials are cut into chunks of
+ * kTrialChunkSize; trial t belongs to chunk t / kTrialChunkSize, and
+ * chunk ci draws from Rng::stream(trialStreamSeed(seed), ci). Within
+ * a chunk, trials draw in trial order, and each trial draws:
+ *  1. one Bernoulli per error site, in site order (collectErrorSites
+ *     order, relabeled onto the compact register);
+ *  2. for each fired site in injection order — ascending (gateIdx,
+ *     site index) — its Pauli: nothing for an idle site (always Z),
+ *     uniformInt(3) for a 1Q site (0 X, 1 Y, 2 Z), 1 + uniformInt(15)
+ *     for a 2Q site (two base-4 digits, the low one on q0, each
+ *     0 I, 1 X, 2 Y, 3 Z);
+ *  3. one measurement uniform, mapped to a basis index by the
+ *     cumulative scan of StateVector::sampleMeasurement over the
+ *     trial's final state (the cached ideal state when no site fired);
+ *  4. one Bernoulli per measured qubit, in ascending measured order,
+ *     each flipping that outcome bit (readout error).
+ * Changing either value below changes which random numbers each trial
+ * sees.
+ */
+constexpr int kTrialChunkSize = 64;
+
+/** The stream seed of the chunk streams (see kTrialChunkSize). */
+constexpr uint64_t
+trialStreamSeed(uint64_t seed)
+{
+    return seed ^ 0xABCDEF1234567890ull;
+}
 
 /** Outcome of a noisy execution campaign. */
 struct ExecutionResult
@@ -63,10 +88,8 @@ struct ExecutionResult
     double noErrorProb = 0.0;
 
     /**
-     * Distinct state-vector trajectories simulated. With fault-pattern
-     * deduplication on (the default) this is the number of *distinct
-     * non-empty fault patterns*; with it off, the number of faulty
-     * trials (every faulty trial replays individually).
+     * Distinct state-vector trajectories simulated: the number of
+     * *distinct non-empty fault patterns* among the trials.
      */
     int simulatedTrajectories = 0;
 
@@ -99,12 +122,16 @@ struct ExecutionResult
     std::vector<std::pair<uint64_t, int>> sortedHistogram() const;
 };
 
-/** Tuning knobs for executeNoisy; the defaults match the env knobs. */
+/**
+ * Threading knobs for executeNoisy; the defaults read the env knobs.
+ * Neither changes a result, only wall-clock time.
+ */
 struct ExecOptions
 {
     /**
-     * Worker threads for trajectory chunks. > 0 forces that many
-     * workers (1 = true serial path, no pool is constructed); < 0
+     * Worker threads for the presampling and pattern-group fan-outs.
+     * > 0 forces that many workers (1 = true serial path, no pool is
+     * constructed); < 0
      * requests adaptive mode (the common/sched.hh cost model decides
      * serial vs. threaded per phase and batches pool tasks to amortize
      * dispatch); 0 reads TRIQ_SIM_THREADS, where 0 likewise means
@@ -113,32 +140,6 @@ struct ExecOptions
      * time.
      */
     int threads = 0;
-
-    /**
-     * Ideal-prefix checkpoint spacing in gates. 0 picks an automatic
-     * value (bounded snapshot memory); negative disables checkpointing
-     * (every faulty trajectory replays from |0...0>). Results are
-     * bit-identical for every value.
-     */
-    int checkpointInterval = 0;
-
-    /**
-     * Gate fusion for trajectory replays: > 0 on, < 0 off, 0 the
-     * default (on). Fusion keeps amplitudes equal to
-     * the gate-by-gate path to ~1e-15 per gate (it reassociates
-     * floating-point products), so histograms match the unfused path
-     * for all practical seeds but are not guaranteed bit-identical.
-     */
-    int fusion = 0;
-
-    /**
-     * Fault-pattern deduplication: > 0 on, < 0 off, 0 the default
-     * (on). Bit-identical to the per-trial
-     * engine for any thread count: it consumes the RNG draws in the
-     * same per-trial order and samples measurements by the same
-     * cumulative scan.
-     */
-    int dedup = 0;
 
     /**
      * Intra-state kernel threading: how each gate kernel shards its
@@ -170,7 +171,7 @@ struct ExecOptions
  * @param trials Number of repetitions (the paper uses 8192 on
  *               superconducting machines, 5000 on UMDTI).
  * @param seed RNG seed; fixed seeds make experiments reproducible.
- * @param opts Performance knobs (thread count, checkpoint spacing).
+ * @param opts Threading knobs (trajectory and kernel threads).
  *
  * @note Circuits without a dominant ideal outcome (variational
  *       workloads like QAOA) trigger a one-line advisory per call;

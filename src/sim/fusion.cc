@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "core/unitary.hh"
 #include "sim/kernel_dispatch.hh"
 
 namespace triq
 {
-
-int
-defaultTileQubits()
-{
-    return envInt("TRIQ_SIM_TILE", 12, 0);
-}
 
 namespace
 {
@@ -563,8 +556,7 @@ FusedProgram::FusedProgram(const Circuit &c, const FusionOptions &opt)
     // closed on every 2^tile_bits-amplitude tile, so the run can be
     // replayed tile by tile while the tile is hot in cache — bit-exact
     // by construction (see FusionOptions::tileQubits).
-    int tile_bits =
-        opt.tileQubits < 0 ? defaultTileQubits() : opt.tileQubits;
+    int tile_bits = opt.tileQubits;
     if (tile_bits > 0)
         tile_bits = std::clamp(tile_bits, 6, StateVector::maxQubits());
     if (tile_bits > 0 && c.numQubits() > tile_bits) {

@@ -69,21 +69,15 @@ struct FusionOptions
      * on each tile, and the ranged kernels perform per-amplitude
      * arithmetic identical to the full-state passes.
      *
-     * -1 picks the default (TRIQ_SIM_TILE, see defaultTileQubits());
-     * 0 disables tiling; values > 0 are clamped to >= 6 so tile bounds
+     * The default, 12, is a 64 KiB tile — half a typical L2 — leaving
+     * room for the matrix data and the next tile's prefetch. 0
+     * disables tiling; values > 0 are clamped to >= 6 so tile bounds
      * keep the fused kernels' group-space alignment (see
      * StateVector::applyFused1Range). Tiling only engages on registers
      * larger than one tile.
      */
-    int tileQubits = -1;
+    int tileQubits = 12;
 };
-
-/**
- * Tile size used when FusionOptions::tileQubits is -1: TRIQ_SIM_TILE
- * when set (0 disables), else 12 (a 64 KiB tile — half a typical L2 —
- * leaving room for the matrix data and the next tile's prefetch).
- */
-int defaultTileQubits();
 
 /** What the fusion pass did to one circuit. */
 struct FusionStats

@@ -164,7 +164,7 @@ class StateVector
      * r in [0, 1) to a basis index by the same cumulative scan as
      * sampleMeasurement(Rng&). Lets the dedup executor pre-draw each
      * trial's uniform and sample many trials from one shared state
-     * while staying bit-identical to the per-trial path.
+     * while staying bit-identical to sampling each trial on its own.
      */
     uint64_t sampleMeasurement(double r) const;
 

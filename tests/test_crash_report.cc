@@ -102,7 +102,6 @@ TEST(CrashReport, BundleRoundTripsEveryField)
     b.seed = 0xDEADBEEFull;
     b.trials = 777;
     b.simThreads = 3;
-    b.simFusion = -1;
     b.error = "test panic message";
 
     TempDir tmp;
@@ -132,7 +131,6 @@ TEST(CrashReport, BundleRoundTripsEveryField)
     EXPECT_EQ(r.seed, b.seed);
     EXPECT_EQ(r.trials, b.trials);
     EXPECT_EQ(r.simThreads, b.simThreads);
-    EXPECT_EQ(r.simFusion, b.simFusion);
 }
 
 TEST(CrashReport, BenchOnlyBundleOmitsProgramFile)
@@ -410,6 +408,37 @@ TEST(CrashReport, ServerModeBundleReplaysThroughTriqc)
     int rc = runCmd(std::string(TRIQ_TRIQC_PATH) + " --replay " + bundle +
                     " -o " + replay_out + " 2>/dev/null");
     EXPECT_EQ(rc, 0);
+    EXPECT_FALSE(slurp(replay_out).empty());
+}
+
+TEST(CrashReport, RetiredSimFusionKeyStillLoadsAndReplays)
+{
+    // Bundles written before gate fusion became unconditional carry a
+    // sim_fusion option line; they must keep loading and replaying.
+    TempDir tmp;
+    std::string bundle = (tmp.path / "bundle").string();
+    CrashBundle b;
+    b.benchName = "BV4";
+    b.device = "IBMQ5";
+    b.simThreads = 2;
+    b.write(bundle);
+    std::ofstream(fs::path(bundle) / "options.txt", std::ios::app)
+        << "sim_fusion=-1\n";
+
+    CrashBundle r = CrashBundle::load(bundle);
+    EXPECT_EQ(r.benchName, "BV4");
+    EXPECT_EQ(r.device, "IBMQ5");
+    EXPECT_EQ(r.simThreads, 2);
+
+    std::string replay_out = (tmp.path / "replay.s").string();
+    int rc = runCmd(std::string(TRIQ_TRIQC_PATH) + " --replay " + bundle +
+                    " -o " + replay_out + " 2>/dev/null");
+    EXPECT_EQ(rc, 0);
+    std::string direct_out = (tmp.path / "direct.s").string();
+    rc = runCmd(std::string(TRIQ_TRIQC_PATH) + " --bench BV4 -d IBMQ5 -o " +
+                direct_out + " 2>/dev/null");
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(slurp(replay_out), slurp(direct_out));
     EXPECT_FALSE(slurp(replay_out).empty());
 }
 

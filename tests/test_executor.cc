@@ -1,8 +1,9 @@
 /**
  * @file
  * Noise-model and executor tests: error-site enumeration, analytic
- * cross-checks of measured success rates, determinism and the modal
- * outcome flag.
+ * cross-checks of measured success rates, determinism, the modal
+ * outcome flag, and both memory plans against the per-trial reference
+ * (bench_util's referenceExecute).
  */
 
 #include <cmath>
@@ -16,6 +17,9 @@
 #include "sim/executor.hh"
 #include "sim/noise.hh"
 #include "workloads/benchmarks.hh"
+
+#include "bench_util.hh"
+#include "budget_guard.hh"
 
 namespace triq
 {
@@ -258,10 +262,41 @@ TEST(Executor, BitIdenticalAcrossThreadCounts)
     EXPECT_EQ(total, base.trials);
 }
 
+/**
+ * The engine under both memory plans against the per-trial reference:
+ * the default plan (checkpoints, fused operators aligned to them), the
+ * low-memory plan (forced by a budget below the full plan; no
+ * checkpoints) and bench::referenceExecute (gate by gate from |0...0>
+ * per faulty trial) must agree on every outcome count.
+ */
+void
+expectPlansMatchReference(const Circuit &circ, const Device &dev,
+                          const Calibration &c, int trials, uint64_t seed,
+                          uint64_t low_mem_budget)
+{
+    ExecutionResult ref =
+        bench::referenceExecute(circ, dev, c, trials, seed);
+    ExecutionResult full = executeNoisy(circ, dev, c, trials, seed);
+    ExecutionResult low;
+    {
+        BudgetGuard guard(low_mem_budget);
+        low = executeNoisy(circ, dev, c, trials, seed);
+    }
+    for (const ExecutionResult *r : {&full, &low}) {
+        EXPECT_DOUBLE_EQ(r->successRate, ref.successRate);
+        EXPECT_EQ(r->correctOutcome, ref.correctOutcome);
+        EXPECT_EQ(r->histogram, ref.histogram);
+        EXPECT_LE(r->simulatedTrajectories, ref.simulatedTrajectories);
+    }
+    EXPECT_EQ(low.simulatedTrajectories, full.simulatedTrajectories);
+}
+
 TEST(Executor, CheckpointedReplayMatchesFullReplay)
 {
     // Certain 1Q error sites force every trial onto the trajectory
-    // path, so checkpointed and full replay are both fully exercised.
+    // path, so checkpoint resumes (one per gate on this small
+    // register), the checkpoint-free low-memory plan and the
+    // reference's full replays are all fully exercised.
     Device dev = probe(1.0, 0.3, 0.02);
     Calibration c = dev.averageCalibration();
     c.err1q = {1.0, 1.0};
@@ -273,26 +308,47 @@ TEST(Executor, CheckpointedReplayMatchesFullReplay)
     }
     circ.add(Gate::measure(0));
     circ.add(Gate::measure(1));
-    // This test exercises the per-trial checkpoint replay engine, so
-    // fault-pattern dedup is pinned off (it would collapse the 800
-    // trials to their distinct patterns); fusion off keeps the replay
-    // strictly gate by gate.
-    ExecOptions full;
-    full.checkpointInterval = -1; // replay from |00> every time
-    full.dedup = -1;
-    full.fusion = -1;
-    ExecutionResult a = executeNoisy(circ, dev, c, 800, 21, full);
-    EXPECT_EQ(a.simulatedTrajectories, a.trials);
-    for (int interval : {1, 2, 5, 0}) {
-        ExecOptions ck;
-        ck.checkpointInterval = interval;
-        ck.dedup = -1;
-        ck.fusion = -1;
-        ExecutionResult b = executeNoisy(circ, dev, c, 800, 21, ck);
-        EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
-        EXPECT_EQ(b.simulatedTrajectories, a.simulatedTrajectories);
-        EXPECT_EQ(b.histogram, a.histogram);
-    }
+    EXPECT_EQ(bench::referenceExecute(circ, dev, c, 800, 21)
+                  .simulatedTrajectories,
+              800);
+    expectPlansMatchReference(circ, dev, c, 800, 21, 1ull << 20);
+}
+
+TEST(Executor, WideCircuitAlignsFusionToCheckpoints)
+{
+    // 16 active qubits (1 MiB per state) and 126 gates: the 64 MiB
+    // checkpoint budget holds 64 snapshots, so the automatic interval
+    // is 2 and fused operators are cut at every second gate. The
+    // circuit undoes itself (ideal answer 0) and measures all 16
+    // qubits, which takes the sparse histogram path.
+    const int n = 16;
+    Topology t = Topology::line(n);
+    NoiseSpec spec{0.002, 0.01, 0.02, 1e18, 0.0, 0.0, {0.1, 0.4, 3.0}};
+    Device dev("Probe16", std::move(t), GateSet::rigetti(), spec);
+    Calibration c = dev.averageCalibration();
+    Circuit circ(n, "wide");
+    auto rx_layer = [&](double theta) {
+        for (int q = 0; q < n; ++q)
+            circ.add(Gate::rx(q, theta));
+    };
+    auto cz_block = [&] {
+        for (int layer = 0; layer < 3; ++layer)
+            for (int q = layer % 2; q + 1 < n; q += 2)
+                circ.add(Gate::cz(q, q + 1));
+    };
+    rx_layer(kPi / 2);
+    cz_block();
+    rx_layer(kPi / 3);
+    rx_layer(-kPi / 3);
+    cz_block();
+    rx_layer(-kPi / 2);
+    for (int q = 0; q < n; ++q)
+        circ.add(Gate::measure(q));
+    ASSERT_EQ(circ.numGates(), 126);
+    // Budget: the low-memory plan (2 states) plus room for a few
+    // snapshots, well below the full plan's 64 MiB checkpoint
+    // allowance.
+    expectPlansMatchReference(circ, dev, c, 120, 5, 8ull << 20);
 }
 
 TEST(Executor, DefaultSimThreadsEnv)

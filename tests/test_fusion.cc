@@ -3,8 +3,9 @@
  * Gate-fusion and fault-pattern-dedup tests: fused replay must match
  * the gate-by-gate path to 1e-12 on random circuits over the full
  * fast-path gate set, partial-range application must fall back
- * correctly at fused-op boundaries, and dedup must reproduce the
- * per-trial engine's histograms bit for bit at any thread count.
+ * correctly at fused-op boundaries, and the dedup engine must
+ * reproduce the per-trial reference's histograms (bench_util's
+ * referenceExecute) at any thread count and under either memory plan.
  */
 
 #include <cmath>
@@ -20,6 +21,9 @@
 #include "sim/fusion.hh"
 #include "sim/statevector.hh"
 #include "workloads/benchmarks.hh"
+
+#include "bench_util.hh"
+#include "budget_guard.hh"
 
 namespace triq
 {
@@ -242,67 +246,74 @@ compiledPeres(const Device &dev, const Calibration &c)
     return compileForDevice(program, dev, c, opts);
 }
 
-TEST(Dedup, BitIdenticalToPerTrialEngine)
+/**
+ * Low-memory-plan result: a budget that fits the ideal state plus one
+ * trajectory state but not the full plan forces the degraded plan.
+ */
+ExecutionResult
+executeLowMem(const Circuit &hw, const Device &dev, const Calibration &c,
+              int trials, uint64_t seed)
 {
-    // With fusion pinned off both engines replay the identical gate
-    // sequence, so dedup on vs. off must agree bit for bit: same
-    // histogram, same success rate, for any thread count.
+    BudgetGuard guard(1ull << 20);
+    ExecOptions eo;
+    eo.threads = 4; // the low-memory plan overrides it with serial
+    return executeNoisy(hw, dev, c, trials, seed, eo);
+}
+
+TEST(Dedup, MatchesReferenceAtAnyThreadCount)
+{
+    // The engine (dedup + fusion, checkpointed) against the per-trial,
+    // unfused, from-|0...0> reference. Fusion reassociates floating
+    // point, so this equality is the empirical acceptance guarantee (a
+    // uniform draw would have to land within ~1e-13 of a
+    // cumulative-probability boundary to flip), not an algebraic one.
     Device dev = makeIbmQ5();
     Calibration c = dev.calibrate(2);
     CompileResult res = compiledPeres(dev, c);
-    ExecOptions base;
-    base.threads = 1;
-    base.fusion = -1;
-    base.dedup = -1;
-    ExecutionResult a = executeNoisy(res.hwCircuit, dev, c, 2000, 99, base);
-    EXPECT_GT(a.simulatedTrajectories, 0);
+    ExecutionResult ref =
+        bench::referenceExecute(res.hwCircuit, dev, c, 2000, 99);
+    EXPECT_GT(ref.simulatedTrajectories, 0);
     for (int threads : {1, 2, 8}) {
         ExecOptions d;
         d.threads = threads;
-        d.fusion = -1;
-        d.dedup = 1;
         ExecutionResult b =
             executeNoisy(res.hwCircuit, dev, c, 2000, 99, d);
-        EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
-        EXPECT_EQ(b.histogram, a.histogram);
-        EXPECT_EQ(b.correctOutcome, a.correctOutcome);
+        EXPECT_DOUBLE_EQ(b.successRate, ref.successRate);
+        EXPECT_EQ(b.histogram, ref.histogram);
+        EXPECT_EQ(b.correctOutcome, ref.correctOutcome);
+        EXPECT_EQ(b.correctIsModal, ref.correctIsModal);
         // Dedup simulates each distinct pattern once — never more
-        // trajectories than the per-trial engine's faulty-trial count.
-        EXPECT_LE(b.simulatedTrajectories, a.simulatedTrajectories);
+        // trajectories than the reference's faulty-trial count.
+        EXPECT_LE(b.simulatedTrajectories, ref.simulatedTrajectories);
         EXPECT_GT(b.simulatedTrajectories, 0);
     }
 }
 
-TEST(Dedup, FusionPlusDedupMatchesBaselineHistogram)
+TEST(Dedup, LowMemoryPlanMatchesReference)
 {
-    // Fusion reassociates floating point, so this equality is the
-    // empirical acceptance guarantee (a uniform draw would have to
-    // land within ~1e-13 of a cumulative-probability boundary to
-    // flip), not an algebraic one.
+    // The degraded plan runs the same engine serially with no
+    // checkpoints (and operators fused without checkpoint alignment):
+    // same histogram as the reference and as the full plan, same
+    // distinct-pattern count as the full plan.
     Device dev = makeIbmQ5();
     Calibration c = dev.calibrate(2);
     CompileResult res = compiledPeres(dev, c);
-    ExecOptions base;
-    base.threads = 1;
-    base.fusion = -1;
-    base.dedup = -1;
-    ExecutionResult a = executeNoisy(res.hwCircuit, dev, c, 2000, 99, base);
-    for (int threads : {1, 2, 8}) {
-        ExecOptions d;
-        d.threads = threads;
-        d.fusion = 1;
-        d.dedup = 1;
-        ExecutionResult b =
-            executeNoisy(res.hwCircuit, dev, c, 2000, 99, d);
-        EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
-        EXPECT_EQ(b.histogram, a.histogram);
-    }
+    ExecutionResult ref =
+        bench::referenceExecute(res.hwCircuit, dev, c, 2000, 99);
+    ExecutionResult full = executeNoisy(res.hwCircuit, dev, c, 2000, 99);
+    ExecutionResult low = executeLowMem(res.hwCircuit, dev, c, 2000, 99);
+    EXPECT_EQ(low.histogram, ref.histogram);
+    EXPECT_DOUBLE_EQ(low.successRate, ref.successRate);
+    EXPECT_EQ(low.histogram, full.histogram);
+    EXPECT_EQ(low.simulatedTrajectories, full.simulatedTrajectories);
+    EXPECT_STREQ(low.sched.mode(), "serial");
 }
 
 TEST(Dedup, ZeroFaultCircuitSimulatesNothing)
 {
-    // Readout-only noise: every pattern is empty, so dedup samples all
-    // trials from the cached ideal state without one trajectory.
+    // Readout-only noise: every pattern is empty, so the engine samples
+    // all trials from the cached ideal state without one trajectory,
+    // under either memory plan.
     Topology t = Topology::line(2);
     NoiseSpec spec{0.0, 0.0, 0.05, 1e18, 0.0, 0.0, {0.1, 0.4, 3.0}};
     Device dev("Probe2", std::move(t), GateSet::rigetti(), spec);
@@ -311,16 +322,15 @@ TEST(Dedup, ZeroFaultCircuitSimulatesNothing)
     circ.add(Gate::x(0));
     circ.add(Gate::measure(0));
     circ.add(Gate::measure(1));
-    ExecOptions d;
-    d.dedup = 1;
-    ExecutionResult r = executeNoisy(circ, dev, c, 4000, 7, d);
-    EXPECT_EQ(r.simulatedTrajectories, 0);
-    ExecOptions off;
-    off.dedup = -1;
-    off.fusion = -1;
-    ExecutionResult base = executeNoisy(circ, dev, c, 4000, 7, off);
-    EXPECT_EQ(r.histogram, base.histogram);
-    EXPECT_DOUBLE_EQ(r.successRate, base.successRate);
+    ExecutionResult ref = bench::referenceExecute(circ, dev, c, 4000, 7);
+    EXPECT_EQ(ref.simulatedTrajectories, 0);
+    for (const ExecutionResult &r :
+         {executeNoisy(circ, dev, c, 4000, 7),
+          executeLowMem(circ, dev, c, 4000, 7)}) {
+        EXPECT_EQ(r.simulatedTrajectories, 0);
+        EXPECT_EQ(r.histogram, ref.histogram);
+        EXPECT_DOUBLE_EQ(r.successRate, ref.successRate);
+    }
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "core/unitary.hh"
 #include "device/machines.hh"
 #include "service/cost_model.hh"
+#include "sim/compact.hh"
 #include "sim/executor.hh"
 #include "sim/fusion.hh"
 #include "sim/sim_cost.hh"
@@ -339,14 +340,16 @@ TEST(Kernels, TilingDisabledBelowOneTile)
     EXPECT_EQ(fused.stats().tileRuns, 0);
 }
 
-TEST(Kernels, Fig07HistogramsIdenticalTiledVsUntiled)
+TEST(Kernels, Fig07FusedProgramsIdenticalTiledVsUntiled)
 {
-    // The whole Fig. 7 study set through the executor, tiled
-    // (TRIQ_SIM_TILE=6, so even small compact registers tile) vs.
-    // untiled: bit-identical histograms, every benchmark.
+    // The whole Fig. 7 study set as the executor replays it (the
+    // compact hardware circuit through FusedProgram), tiled at 6 qubits
+    // so even small compact registers tile vs. untiled: bit-identical
+    // amplitudes for every benchmark, over the whole circuit and across
+    // a mid-circuit range split.
     Device dev = makeIbmQ14();
     Calibration calib = dev.calibrate(2);
-    int compared = 0;
+    int compared = 0, tiled_runs = 0;
     for (const std::string &name : benchmarkNames()) {
         Circuit program = makeBenchmark(name);
         if (program.numQubits() > dev.numQubits())
@@ -355,22 +358,29 @@ TEST(Kernels, Fig07HistogramsIdenticalTiledVsUntiled)
         copts.emitAssembly = false;
         CompileResult res =
             compileForDevice(program, dev, calib, copts);
-        ExecOptions eo;
-        eo.threads = 1;
-        eo.fusion = 1;
-        setenv("TRIQ_SIM_TILE", "0", 1);
-        ExecutionResult untiled =
-            executeNoisy(res.hwCircuit, dev, calib, 300, 11, eo);
-        setenv("TRIQ_SIM_TILE", "6", 1);
-        ExecutionResult tiled =
-            executeNoisy(res.hwCircuit, dev, calib, 300, 11, eo);
-        unsetenv("TRIQ_SIM_TILE");
-        EXPECT_EQ(tiled.histogram, untiled.histogram) << name;
-        EXPECT_DOUBLE_EQ(tiled.successRate, untiled.successRate)
-            << name;
+        const Circuit c = compactCircuit(res.hwCircuit).circuit;
+        FusionOptions untiled_opt, tiled_opt;
+        untiled_opt.tileQubits = 0;
+        tiled_opt.tileQubits = 6;
+        FusedProgram untiled(c, untiled_opt), tiled(c, tiled_opt);
+        tiled_runs += tiled.stats().tileRuns;
+
+        StateVector a(c.numQubits()), b(c.numQubits());
+        untiled.applyAll(a);
+        tiled.applyAll(b);
+        EXPECT_TRUE(bitIdentical(a, b)) << name;
+
+        const int split = c.numGates() / 2;
+        StateVector p(c.numQubits()), s(c.numQubits());
+        untiled.apply(p, 0, split);
+        untiled.apply(p, split, c.numGates());
+        tiled.apply(s, 0, split);
+        tiled.apply(s, split, c.numGates());
+        EXPECT_TRUE(bitIdentical(s, p)) << name << " split " << split;
         ++compared;
     }
     EXPECT_GE(compared, 8);
+    EXPECT_GT(tiled_runs, 0);
 }
 
 TEST(Kernels, ThirtyQubitCeilingIsStructural)

@@ -25,24 +25,9 @@
 #include "sim/sim_cost.hh"
 #include "workloads/benchmarks.hh"
 
+#include "budget_guard.hh"
+
 using namespace triq;
-
-namespace
-{
-
-/** Scoped budget override on the process governor (always restored). */
-struct BudgetGuard
-{
-    explicit BudgetGuard(uint64_t bytes)
-        : old_(processGovernor().budgetBytes())
-    {
-        processGovernor().setBudgetBytes(bytes);
-    }
-    ~BudgetGuard() { processGovernor().setBudgetBytes(old_); }
-    uint64_t old_;
-};
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // envBytes.
@@ -311,13 +296,45 @@ TEST(ExecutorGovernor, LowMemoryPlanIsBitIdentical)
 {
     ExecutionResult full = runBV8(2);
     // A budget that fits the low-memory plan but not the full plan
-    // forces the degraded path (serial, no checkpoints, no dedup) —
-    // which must produce bit-identical results.
+    // forces the degraded path (serial, no checkpoints) — which must
+    // produce the same results.
     BudgetGuard guard(1ull << 20);
     ExecutionResult degraded = runBV8(2);
     EXPECT_EQ(full.histogram, degraded.histogram);
     EXPECT_EQ(full.successRate, degraded.successRate);
+    EXPECT_EQ(full.simulatedTrajectories, degraded.simulatedTrajectories);
     EXPECT_EQ(full.esp, degraded.esp);
+}
+
+TEST(ExecutorGovernor, LowMemoryPlanReservesEverySnapshot)
+{
+    // The low-memory plan's reservation is the ideal state plus one
+    // trajectory state. Every LCP snapshot level the dedup engine
+    // wants on top goes through tryReserve: with the budget at exactly
+    // the plan all of them are refused, with room for two states they
+    // are granted — and the results never move.
+    ResourceGovernor &gov = processGovernor();
+    const ExecutionResult roomy = runBV8(1);
+    const int active = compactCircuit(compiledBV8()).circuit.numQubits();
+    const uint64_t low = predictLowMemSimulationBytes(active);
+    for (uint64_t extra : {uint64_t{0}, 2 * stateVectorBytes(active)}) {
+        BudgetGuard guard(low + extra);
+        const ResourceStats before = gov.stats();
+        ExecutionResult r = runBV8(1);
+        const ResourceStats after = gov.stats();
+        const long granted = after.reservations - before.reservations;
+        if (extra == 0) {
+            EXPECT_EQ(granted, 1) << "only the plan fits";
+            // The full plan and at least one snapshot level refused.
+            EXPECT_GE(after.refusals - before.refusals, 2);
+        } else {
+            EXPECT_GE(granted, 2) << "no snapshot level was reserved";
+        }
+        EXPECT_EQ(r.histogram, roomy.histogram);
+        EXPECT_EQ(r.successRate, roomy.successRate);
+        EXPECT_EQ(r.simulatedTrajectories, roomy.simulatedTrajectories);
+        EXPECT_EQ(gov.committedBytes(), 0ull);
+    }
 }
 
 TEST(ExecutorGovernor, ImpossibleBudgetThrowsStructuredError)
@@ -356,8 +373,9 @@ TEST(ExecutorGovernor, DeepSnapshotsAreReserved)
         BudgetGuard guard(predictSimulationBytes(active, threads));
         long refusals = gov.stats().refusals;
         ExecutionResult tight = runBV8(threads);
-        if (threads == 1)
+        if (threads == 1) {
             EXPECT_GT(gov.stats().refusals, refusals);
+        }
         EXPECT_EQ(tight.histogram, roomy.histogram);
         EXPECT_EQ(tight.successRate, roomy.successRate);
         EXPECT_EQ(tight.simulatedTrajectories,

@@ -83,18 +83,6 @@ TEST(SchedCalibration, MeasuredValuesArePositive)
     EXPECT_GE(c.hardwareThreads, 1);
 }
 
-TEST(SchedCostModel, ChunkEstimateMonotone)
-{
-    SchedCalib c = fakeCalib();
-    double base = estimateChunkUs(c, 6, 40, 64, 0.5);
-    EXPECT_GT(base, 0.0);
-    EXPECT_GE(estimateChunkUs(c, 8, 40, 64, 0.5), base);
-    EXPECT_GE(estimateChunkUs(c, 6, 80, 64, 0.5), base);
-    EXPECT_GE(estimateChunkUs(c, 6, 40, 128, 0.5), base);
-    EXPECT_GE(estimateChunkUs(c, 6, 40, 64, 0.9), base);
-    EXPECT_LE(estimateChunkUs(c, 6, 40, 64, 0.1), base);
-}
-
 TEST(SchedCostModel, GroupAndPresampleEstimatesMonotone)
 {
     SchedCalib c = fakeCalib();
@@ -212,6 +200,28 @@ TEST(SchedPlan, ForcedThreadedThreadsEvenWhenTheModelSaysNo)
     EXPECT_LE(d.threads, 4);
     EXPECT_GE(d.itemsPerTask, 1);
     EXPECT_EQ(d.tasks, (8 + d.itemsPerTask - 1) / d.itemsPerTask);
+}
+
+TEST(SchedPlan, AdaptiveKernelsStaySerialBelowTheFloor)
+{
+    // A drifted startup calibration seen on a 4-thread box: dispatch
+    // looks nearly free, so the model alone would shard a
+    // 512-amplitude pass across the pool and pay a fork-join per gate.
+    SchedCalib c;
+    c.perTaskOverheadUs = 0.09;
+    c.poolSpawnUs = 100.0;
+    c.ampOpsPerUs = 711.0;
+    c.hardwareThreads = 4;
+    for (double amp_ops : {0.75 * 512, 2.0 * 512, 4.0 * 512,
+                           kMinKernelAmpOps - 1.0}) {
+        SchedDecision d = planKernel(c, amp_ops, 0, true);
+        EXPECT_FALSE(d.threaded) << amp_ops;
+        EXPECT_EQ(d.threads, 1) << amp_ops;
+    }
+    // Above the floor the model decides again, and a forced setting
+    // still shards small passes (benches and bit-identity tests).
+    EXPECT_TRUE(planKernel(c, 0.75 * (1 << 20), 0, true).threaded);
+    EXPECT_TRUE(planKernel(c, 2.0 * 512, 4, true).threaded);
 }
 
 TEST(ThreadPoolBatch, ParallelForRangesCoversEveryItemOnce)

@@ -24,6 +24,8 @@
 #include "core/crash_report.hh"
 #include "service/server.hh"
 
+#include "budget_guard.hh"
+
 using namespace triq;
 namespace fs = std::filesystem;
 
@@ -627,23 +629,6 @@ TEST(ServerTest, StatsCountLatenciesAndCacheHeat)
 }
 
 // --- predictive admission (resource governor) ----------------------------
-
-namespace
-{
-
-/** Scoped budget override on the process governor (always restored). */
-struct BudgetGuard
-{
-    explicit BudgetGuard(uint64_t bytes)
-        : old_(processGovernor().budgetBytes())
-    {
-        processGovernor().setBudgetBytes(bytes);
-    }
-    ~BudgetGuard() { processGovernor().setBudgetBytes(old_); }
-    uint64_t old_;
-};
-
-} // namespace
 
 TEST(ServerTest, BudgetRejectsOversizedSimulationAndKeepsServing)
 {

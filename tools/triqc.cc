@@ -23,7 +23,6 @@
  *   --report             print gate counts, ESP and predicted success
  *   --trials N           trials for the success prediction (default 2000)
  *   --sim-threads N      simulator worker threads for the prediction
- *   --sim-fusion N       gate fusion for the prediction (1 on, -1 off)
  *   -o FILE              write assembly to FILE instead of stdout
  *
  * Internal errors (PanicError — a TriQ bug, exit code 2) dump a crash
@@ -69,7 +68,6 @@ struct Args
     int day = 0;
     int trials = 2000;
     int simThreads = 0; // 0 = TRIQ_SIM_THREADS env (default serial)
-    int simFusion = 0;  // 0 = default (on)
     double budgetMs = 0.0; // 0 = unlimited
     long nodeBudget = 0;   // 0 = engine default
     bool strictCalibration = false;
@@ -110,8 +108,6 @@ usage()
         "                      (default: TRIQ_SIM_THREADS env, else 1;\n"
         "                      -1 or env 0 = adaptive cost model;\n"
         "                      results are identical for any value)\n"
-        "  --sim-fusion N      gate fusion for --report trajectories:\n"
-        "                      1 on, -1 off (default on)\n"
         "  --crash-dir DIR     where an internal-error crash report is\n"
         "                      written (default triq-crash-<pid>/)\n"
         "  --replay DIR        re-run the invocation captured in a\n"
@@ -163,8 +159,6 @@ parseArgs(int argc, char **argv)
             a.trials = std::atoi(need_value(i, arg));
         else if (!std::strcmp(arg, "--sim-threads"))
             a.simThreads = std::atoi(need_value(i, arg));
-        else if (!std::strcmp(arg, "--sim-fusion"))
-            a.simFusion = std::atoi(need_value(i, arg));
         else if (!std::strcmp(arg, "--crash-dir"))
             a.crashDir = need_value(i, arg);
         else if (!std::strcmp(arg, "--replay"))
@@ -250,7 +244,7 @@ run(int argc, char **argv)
     if (!args.replayDir.empty()) {
         CrashBundle b = CrashBundle::load(args.replayDir);
         // Reproduce the crashing process's TRIQ_* knobs (sched
-        // calibration, dedup/fusion toggles, ...); TRIQ_FAULT* is
+        // calibration, thread counts, ...); TRIQ_FAULT* is
         // skipped inside applyTriqEnv.
         int applied = applyTriqEnv(b.envKnobs);
         if (applied > 0)
@@ -274,7 +268,6 @@ run(int argc, char **argv)
         args.nodeBudget = b.nodeBudget;
         args.trials = b.trials;
         args.simThreads = b.simThreads;
-        args.simFusion = b.simFusion;
         args.inputFile =
             b.hasProgram ? args.replayDir + "/program.txt" : "";
         args.calibrationFile =
@@ -303,7 +296,6 @@ run(int argc, char **argv)
     g_crash.seed = 12345; // executeNoisy seed below
     g_crash.trials = args.trials;
     g_crash.simThreads = args.simThreads;
-    g_crash.simFusion = args.simFusion;
     g_crash.envKnobs = captureTriqEnv();
 
     // Optional fault injection (TRIQ_FAULT env): corrupts the inputs
@@ -407,7 +399,6 @@ run(int argc, char **argv)
     if (args.report) {
         ExecOptions exec_opts;
         exec_opts.threads = args.simThreads;
-        exec_opts.fusion = args.simFusion;
         ExecutionResult run =
             executeNoisy(res.hwCircuit, dev, calib, args.trials, 12345,
                          exec_opts);
