@@ -1,7 +1,6 @@
 #include "bench_util.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -272,65 +271,6 @@ referenceExecute(const Circuit &hw, const Device &dev,
         modal_count = std::max(modal_count, count);
     res.correctIsModal = successes == modal_count;
     return res;
-}
-
-namespace
-{
-
-/** Parse all of `text` as a number of type T, or fail. */
-template <typename T>
-T
-parseNumber(const std::string &prog, const std::string &flag,
-            const std::string &text)
-{
-    T v{};
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc() || ptr != end || text.empty())
-        fatal(prog, ": ", flag, " needs a number, got '", text, "'");
-    return v;
-}
-
-} // namespace
-
-void
-Flags::parse(int argc, char **argv) const
-{
-    for (int i = 1; i < argc; ++i) {
-        auto spec = std::find_if(specs_.begin(), specs_.end(),
-                                 [&](const Spec &s) {
-                                     return s.name == argv[i];
-                                 });
-        if (spec == specs_.end())
-            fatal(prog_, ": unknown argument '", argv[i], "'");
-        if (bool *const *sw = std::get_if<bool *>(&spec->dst)) {
-            **sw = true;
-            continue;
-        }
-        if (i + 1 >= argc)
-            fatal(prog_, ": ", spec->name, " needs a value");
-        const std::string v = argv[++i];
-        std::visit(
-            [&](auto *dst) {
-                using T = std::remove_pointer_t<decltype(dst)>;
-                if constexpr (std::is_same_v<T, std::vector<int>>) {
-                    dst->clear();
-                    std::stringstream ss(v);
-                    std::string tok;
-                    while (std::getline(ss, tok, ','))
-                        dst->push_back(
-                            parseNumber<int>(prog_, spec->name, tok));
-                } else if constexpr (std::is_same_v<
-                                         T, std::vector<std::string>>) {
-                    dst->push_back(v);
-                } else if constexpr (std::is_same_v<T, std::string>) {
-                    *dst = v;
-                } else if constexpr (!std::is_same_v<T, bool>) {
-                    *dst = parseNumber<T>(prog_, spec->name, v);
-                }
-            },
-            spec->dst);
-    }
 }
 
 std::vector<double>

@@ -2,9 +2,11 @@
  * @file
  * Shared plumbing for the figure-reproduction harnesses (device lookup,
  * compile-and-execute helpers, consistent run configuration) and the
- * one harness every micro_* bench runs on: a declarative flag parser,
- * the rotated min-over-reps timer, the JSON report and the mapping
- * from a bench's verdict to its exit code.
+ * one harness every micro_* bench runs on: the rotated min-over-reps
+ * timer, the JSON report and the mapping from a bench's verdict to its
+ * exit code. The benches read their flags through triq::Flags
+ * (common/flags.hh) and build their reports with JsonWriter
+ * (common/json.hh), the same parser and codec the CLI tools use.
  *
  * Environment knobs:
  *   TRIQ_TRIALS       trials per success-rate measurement (default
@@ -21,13 +23,12 @@
 #include <functional>
 #include <set>
 #include <string>
-#include <variant>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/compiler.hh"
 #include "device/machines.hh"
 #include "service/sweep.hh"
-#include "service/wire.hh"
 #include "sim/executor.hh"
 
 namespace triq
@@ -126,43 +127,6 @@ ExecutionResult referenceExecute(const Circuit &hw, const Device &dev,
 
 // ---------------------------------------------------------------------
 // The micro-bench harness.
-
-/**
- * Declarative command-line parser. Each flag binds to a variable that
- * already holds its default; parse() overwrites the variables of the
- * flags it sees. An int, long, double or string flag takes one value;
- * a bool flag is a switch (present = true); a vector<string> flag
- * appends every occurrence; a vector<int> flag takes a comma-separated
- * list that replaces the default. An unknown flag, a missing value or
- * a malformed number is fatal.
- */
-class Flags
-{
-  public:
-    explicit Flags(std::string prog) : prog_(std::move(prog)) {}
-
-    template <typename T>
-    Flags &
-    add(const std::string &name, T &dst)
-    {
-        specs_.push_back({name, &dst});
-        return *this;
-    }
-
-    void parse(int argc, char **argv) const;
-
-  private:
-    struct Spec
-    {
-        std::string name;
-        std::variant<int *, long *, double *, std::string *, bool *,
-                     std::vector<std::string> *, std::vector<int> *>
-            dst;
-    };
-
-    std::string prog_;
-    std::vector<Spec> specs_;
-};
 
 /**
  * The micro benches' one timing protocol. `modes` competing

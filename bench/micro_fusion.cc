@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "workloads/benchmarks.hh"
@@ -43,7 +44,7 @@ try {
     int trials = defaultTrials(1000);
     int threads = std::max(2, ThreadPool::hardwareThreads());
     int reps = 3;
-    bench::Flags("micro_fusion")
+    Flags("micro_fusion")
         .add("--device", device_name)
         .add("--bench", bench_names)
         .add("--trials", trials)

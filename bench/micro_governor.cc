@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "device/machines.hh"
 #include "service/cost_model.hh"
@@ -49,7 +50,7 @@ try {
     int days = 2;
     int reps = 3;
     std::string json_file;
-    bench::Flags("micro_governor")
+    Flags("micro_governor")
         .add("--iters", iters)
         .add("--days", days)
         .add("--reps", reps)

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/sched.hh"
 #include "common/thread_pool.hh"
@@ -288,7 +289,7 @@ try {
     int tile_bits = 12;
     bench::LossGate gate;
     std::string json_file;
-    bench::Flags("micro_kernels")
+    Flags("micro_kernels")
         .add("--qubits", qubit_list)
         .add("--reps", reps)
         .add("--tile", tile_bits)

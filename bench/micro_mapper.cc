@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/decompose.hh"
@@ -144,7 +145,7 @@ try {
     int reps = 3;
     long node_floor = 64;
     std::string json_file;
-    bench::Flags("micro_mapper")
+    Flags("micro_mapper")
         .add("--budget", budget)
         .add("--reps", reps)
         .add("--node-floor", node_floor)

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/sched.hh"
 #include "common/thread_pool.hh"
@@ -204,7 +205,7 @@ try {
     int reps = 5;
     bench::LossGate gate;
     std::string json_file;
-    bench::Flags("micro_sched")
+    Flags("micro_sched")
         .add("--trials", trials)
         .add("--reps", reps)
         .add("--tolerance", gate.tolerance)

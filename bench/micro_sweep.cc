@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/fingerprint.hh"
@@ -60,7 +61,7 @@ try {
     int reps = 3;
     double drift = 0.05;
     std::string json_file;
-    bench::Flags("micro_sweep")
+    Flags("micro_sweep")
         .add("--days", days)
         .add("--threads", threads)
         .add("--drift", drift)

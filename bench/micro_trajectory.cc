@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "workloads/benchmarks.hh"
@@ -59,7 +60,7 @@ try {
     int trials = defaultTrials(2000);
     int threads = std::max(2, ThreadPool::hardwareThreads());
     bool wide = false;
-    bench::Flags("micro_trajectory")
+    Flags("micro_trajectory")
         .add("--bench", bench_names)
         .add("--device", device_name)
         .add("--trials", trials)

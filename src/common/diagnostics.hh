@@ -28,6 +28,8 @@
 namespace triq
 {
 
+class JsonWriter;
+
 /** Diagnostic severity, ordered by increasing badness. */
 enum class DiagSeverity
 {
@@ -121,9 +123,13 @@ class Diagnostics
 
     /**
      * Machine-readable rendering: a JSON object
-     * {"errors":N,"warnings":N,"truncated":bool,"diagnostics":[...]}.
+     * {"errors": N, "warnings": N, "truncated": bool, "diagnostics":
+     * [{"severity", "code", "message", "line", "col", "origin"}...]}.
      */
     std::string json() const;
+
+    /** Write the json() object as the next value of `w`. */
+    void json(JsonWriter &w) const;
 
     /**
      * Bridge to the throwing contract: when errors were recorded, throw
@@ -141,9 +147,6 @@ class Diagnostics
     int warningCount_ = 0;
     bool truncated_ = false;
 };
-
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace triq
 

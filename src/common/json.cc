@@ -1,15 +1,57 @@
-#include "service/wire.hh"
+#include "common/json.hh"
 
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/diagnostics.hh"
 #include "common/logging.hh"
 
 namespace triq
 {
+
+namespace
+{
+
+/** Escape `s` for a JSON string literal: quotes, backslashes, and
+ *  every control or non-ASCII byte (as \u00XX). */
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (unsigned char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (c < 0x20 || c >= 0x7f) {
+                static const char hex[] = "0123456789abcdef";
+                out += "\\u00";
+                out += hex[(c >> 4) & 0xf];
+                out += hex[c & 0xf];
+            } else {
+                out += static_cast<char>(c);
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // JsonValue accessors.
@@ -414,7 +456,8 @@ JsonWriter::key(const std::string &k)
     separate();
     out_ += '"';
     out_ += jsonEscape(k);
-    out_ += "\": ";
+    out_ += '"';
+    out_ += ": ";
     pendingKey_ = true;
     return *this;
 }
@@ -463,6 +506,32 @@ JsonWriter::value(bool v)
     separate();
     out_ += v ? "true" : "false";
     return *this;
+}
+
+JsonWriter &
+JsonWriter::value(const JsonValue &v)
+{
+    switch (v.kind) {
+      case JsonValue::Kind::Null:
+        return null();
+      case JsonValue::Kind::Bool:
+        return value(v.boolean);
+      case JsonValue::Kind::Number:
+        return value(v.number);
+      case JsonValue::Kind::String:
+        return value(v.string);
+      case JsonValue::Kind::Array:
+        beginArray();
+        for (const JsonValue &e : v.array)
+            value(e);
+        return endArray();
+      case JsonValue::Kind::Object:
+        beginObject();
+        for (const auto &[k, m] : v.members)
+            key(k).value(m);
+        return endObject();
+    }
+    panic("JsonWriter: unknown JsonValue kind");
 }
 
 JsonWriter &

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/backend.hh"
 #include "core/decompose.hh"
@@ -49,36 +50,50 @@ CompileReport::str() const
     return os.str();
 }
 
+void
+CompileReport::writeMapperStats(JsonWriter &w) const
+{
+    w.key("mapper_engine").value(mapperEngine);
+    w.key("mapper_nodes").value(mapperNodes);
+    w.key("mapper_optimal").value(mapperOptimal);
+    w.key("mapper_bound_pruned").value(mapperBoundPruned);
+    w.key("mapper_symmetry_pruned").value(mapperSymmetryPruned);
+    w.key("mapper_dominance_pruned").value(mapperDominancePruned);
+    w.key("mapper_warm_start").value(mapperWarmStarted);
+}
+
 std::string
 CompileReport::json() const
 {
-    std::ostringstream os;
-    os << "{\"requestedMapper\":\"" << jsonEscape(requestedMapper)
-       << "\",\"mapperEngine\":\"" << jsonEscape(mapperEngine)
-       << "\",\"mapperNodes\":" << mapperNodes
-       << ",\"mapperOptimal\":" << (mapperOptimal ? "true" : "false")
-       << ",\"mapperBoundType\":\"" << jsonEscape(mapperBoundType)
-       << "\",\"mapperBoundPruned\":" << mapperBoundPruned
-       << ",\"mapperSymmetryPruned\":" << mapperSymmetryPruned
-       << ",\"mapperDominancePruned\":" << mapperDominancePruned
-       << ",\"mapperWarmStarted\":"
-       << (mapperWarmStarted ? "true" : "false")
-       << ",\"mapperWarmStartOrigin\":\""
-       << jsonEscape(mapperWarmStartOrigin)
-       << "\",\"degraded\":" << (degraded ? "true" : "false")
-       << ",\"deadlineHit\":" << (deadlineHit ? "true" : "false")
-       << ",\"calibrationRepairs\":" << calibrationRepairs
-       << ",\"degradations\":[";
-    for (size_t i = 0; i < degradations.size(); ++i)
-        os << (i ? "," : "") << "\"" << jsonEscape(degradations[i])
-           << "\"";
-    os << "],\"passes\":[";
-    for (size_t i = 0; i < passes.size(); ++i)
-        os << (i ? "," : "") << "{\"pass\":\"" << jsonEscape(passes[i].pass)
-           << "\",\"ms\":" << passes[i].ms << "}";
-    os << "],\"calibrationDiagnostics\":" << calibrationDiags.json()
-       << "}";
-    return os.str();
+    JsonWriter w;
+    json(w);
+    return w.str();
+}
+
+void
+CompileReport::json(JsonWriter &w) const
+{
+    w.beginObject();
+    w.key("requested_mapper").value(requestedMapper);
+    writeMapperStats(w);
+    w.key("mapper_bound_type").value(mapperBoundType);
+    w.key("mapper_warm_start_origin").value(mapperWarmStartOrigin);
+    w.key("degraded").value(degraded);
+    w.key("deadline_hit").value(deadlineHit);
+    w.key("calibration_repairs").value(calibrationRepairs);
+    w.key("degradations").beginArray();
+    for (const std::string &d : degradations)
+        w.value(d);
+    w.endArray();
+    w.key("passes").beginArray();
+    for (const PassTiming &p : passes) {
+        w.beginObject();
+        w.key("pass").value(p.pass).key("ms").value(p.ms);
+        w.endObject();
+    }
+    w.endArray();
+    calibrationDiags.json(w.key("calibration_diagnostics"));
+    w.endObject();
 }
 
 std::string

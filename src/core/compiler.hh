@@ -26,6 +26,8 @@
 namespace triq
 {
 
+class JsonWriter;
+
 /** Table-1 optimization levels. */
 enum class OptLevel
 {
@@ -141,8 +143,26 @@ struct CompileReport
     /** Multi-line human-readable rendering. */
     std::string str() const;
 
-    /** JSON object rendering (the `triqc --diag-json` report field). */
+    /**
+     * JSON object rendering (the `triqc --diag-json` report field),
+     * snake_case keys: requested_mapper, the writeMapperStats members,
+     * mapper_bound_type, mapper_warm_start_origin, degraded,
+     * deadline_hit, calibration_repairs, degradations, passes
+     * ([{pass, ms}]) and calibration_diagnostics.
+     */
     std::string json() const;
+
+    /** Write the json() object as the next value of `w`. */
+    void json(JsonWriter &w) const;
+
+    /**
+     * Write the mapper-search members into the object open in `w`:
+     * mapper_engine, mapper_nodes, mapper_optimal, mapper_bound_pruned,
+     * mapper_symmetry_pruned, mapper_dominance_pruned and
+     * mapper_warm_start. The triqd compile reply, the sweep matrix and
+     * json() all render mapper statistics through this one function.
+     */
+    void writeMapperStats(JsonWriter &w) const;
 };
 
 /** Everything the toolflow produces for one (program, device) pair. */

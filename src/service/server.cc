@@ -53,27 +53,18 @@ parseLevel(const std::string &s, OptLevel &out)
     return true;
 }
 
-/** Render a request's `id` member as a reply fragment ("" = absent). */
+/**
+ * Render a request's `id` member as a reply fragment ("" = absent;
+ * arrays, objects and null count as absent too).
+ */
 std::string
 renderId(const JsonValue &rq)
 {
     const JsonValue *id = rq.find("id");
-    if (!id)
+    if (!id || !(id->isString() || id->isNumber() || id->isBool()))
         return "";
     JsonWriter w;
-    switch (id->kind) {
-      case JsonValue::Kind::String:
-        w.value(id->string);
-        break;
-      case JsonValue::Kind::Number:
-        w.value(id->number);
-        break;
-      case JsonValue::Kind::Bool:
-        w.value(id->boolean);
-        break;
-      default:
-        return ""; // arrays/objects/null: treat as absent
-    }
+    w.value(*id);
     return w.str();
 }
 
@@ -192,19 +183,22 @@ void
 ServerConfig::applyDefaults()
 {
     if (workers <= 0)
-        workers = envInt("TRIQ_SERVER_THREADS", 2, 1);
+        workers = envInt("TRIQ_SERVER_THREADS", 2, kMinWorkers);
     if (queueCapacity <= 0)
-        queueCapacity = envInt("TRIQ_SERVER_QUEUE", 64, 1);
+        queueCapacity = envInt("TRIQ_SERVER_QUEUE", 64, kMinQueue);
     if (timeoutMs < 0.0)
-        timeoutMs = envDouble("TRIQ_SERVER_TIMEOUT_MS", 10000.0, 1.0);
+        timeoutMs =
+            envDouble("TRIQ_SERVER_TIMEOUT_MS", 10000.0, kMinTimeoutMs);
     if (drainMs < 0.0)
-        drainMs = envDouble("TRIQ_SERVER_DRAIN_MS", 2000.0, 0.0);
+        drainMs = envDouble("TRIQ_SERVER_DRAIN_MS", 2000.0, kMinDrainMs);
     if (drainHardMs < 0.0)
-        drainHardMs = envDouble("TRIQ_SERVER_DRAIN_HARD_MS", 30000.0, 0.0);
+        drainHardMs =
+            envDouble("TRIQ_SERVER_DRAIN_HARD_MS", 30000.0, kMinDrainMs);
     if (maxRequestBytes <= 0)
-        maxRequestBytes = envInt("TRIQ_SERVER_MAX_BYTES", 1 << 20, 1024);
+        maxRequestBytes =
+            envInt("TRIQ_SERVER_MAX_BYTES", 1 << 20, kMinRequestBytes);
     if (budgetMs < 0.0)
-        budgetMs = envDouble("TRIQ_SERVER_BUDGET_MS", 0.0, 0.0);
+        budgetMs = envDouble("TRIQ_SERVER_BUDGET_MS", 0.0, kMinBudgetMs);
     if (maxTrials <= 0)
         maxTrials = 65536;
 }
@@ -369,16 +363,16 @@ Server::submit(const std::string &client, std::string line, Respond respond)
                     std::lock_guard<std::mutex> lock(statsMutex_);
                     ++counters_.budgetRejected;
                 }
-                std::string extra =
-                    "\"predicted_bytes\": " +
-                    std::to_string(v.predictedBytes) +
-                    ", \"budget_bytes\": " +
-                    std::to_string(v.budgetBytes);
-                if (bc.known)
-                    extra += ", \"predicted_compile_ms\": " +
-                             std::to_string(v.predictedCompileMs);
-                respond(errorReply(id_json, "server.budget", v.reason,
-                                   extra));
+                respond(errorReply(
+                    id_json, "server.budget", v.reason,
+                    [&v](JsonWriter &w) {
+                        w.key("predicted_bytes")
+                            .value(static_cast<double>(v.predictedBytes));
+                        w.key("budget_bytes")
+                            .value(static_cast<double>(v.budgetBytes));
+                        w.key("predicted_compile_ms")
+                            .value(v.predictedCompileMs);
+                    }));
                 return;
             }
         }
@@ -645,25 +639,27 @@ Server::execute(const Pending &p)
         // serving.
         crash.error = e.what();
         crash.envKnobs = captureTriqEnv();
-        std::string extra;
+        std::string dir;
         try {
-            std::string dir = resolveCrashDir(
-                cfg_.crashDir.empty() ? defaultCrashDir()
-                                      : cfg_.crashDir);
+            dir = resolveCrashDir(cfg_.crashDir.empty() ? defaultCrashDir()
+                                                        : cfg_.crashDir);
             crash.write(dir);
-            extra = "\"crash_dir\": \"" + jsonEscape(dir) + "\"";
             warn("triqd: request ",
                  crash.requestId.empty() ? std::string("<no id>")
                                          : crash.requestId,
                  " panicked; crash report written to '", dir, "/'");
         } catch (...) {
-            extra.clear(); // never let bundle I/O take the worker down
+            dir.clear(); // never let bundle I/O take the worker down
         }
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++counters_.crashes;
         }
-        return errorReply(p.idJson, "internal.panic", e.what(), extra);
+        return errorReply(p.idJson, "internal.panic", e.what(),
+                          [&dir](JsonWriter &w) {
+                              if (!dir.empty())
+                                  w.key("crash_dir").value(dir);
+                          });
     }
 }
 
@@ -673,8 +669,9 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     const JsonValue &rq = p.request;
     const std::string op = rq.getString("op");
     auto refuse = [&](const std::string &code, const std::string &msg,
-                      const std::string &extra = "") -> ServerReplyError {
-        return ServerReplyError{errorReply(p.idJson, code, msg, extra)};
+                      const ErrorMembers &members =
+                          nullptr) -> ServerReplyError {
+        return ServerReplyError{errorReply(p.idJson, code, msg, members)};
     };
 
     // Fault injector: a request can arm its own (the loadgen fault
@@ -733,7 +730,9 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
                          "program has " +
                              std::to_string(diags.errorCount()) +
                              " error(s)",
-                         "\"diagnostics\": " + diags.json());
+                         [&diags](JsonWriter &w) {
+                             diags.json(w.key("diagnostics"));
+                         });
     } else {
         throw refuse("proto.bad-request",
                      op + " needs a \"bench\" name or \"program\" source");
@@ -827,20 +826,7 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     // production traffic, not just in benches. Cache/drift-reused
     // artifacts carry the search stats of the compile that produced
     // them.
-    w.key("mapper_engine").value(cc.result->report.mapperEngine);
-    w.key("mapper_nodes")
-        .value(static_cast<double>(cc.result->report.mapperNodes));
-    w.key("mapper_optimal").value(cc.result->report.mapperOptimal);
-    w.key("mapper_bound_pruned")
-        .value(static_cast<double>(cc.result->report.mapperBoundPruned));
-    w.key("mapper_symmetry_pruned")
-        .value(static_cast<double>(
-            cc.result->report.mapperSymmetryPruned));
-    w.key("mapper_dominance_pruned")
-        .value(static_cast<double>(
-            cc.result->report.mapperDominancePruned));
-    w.key("mapper_warm_start")
-        .value(cc.result->report.mapperWarmStarted);
+    cc.result->report.writeMapperStats(w);
     if (rq.getBool("assembly", false))
         w.key("assembly").value(cc.result->assembly);
 
@@ -866,11 +852,12 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
             // Predicted-overrun refusal or a translated bad_alloc from
             // inside the simulator: a resource outcome, not a TriQ bug
             // — answer structurally, no crash bundle, keep serving.
-            throw refuse("sim.oom", e.what(),
-                         "\"attempted_bytes\": " +
-                             std::to_string(e.attemptedBytes) +
-                             ", \"budget_bytes\": " +
-                             std::to_string(e.budgetBytes));
+            throw refuse("sim.oom", e.what(), [&e](JsonWriter &ew) {
+                ew.key("attempted_bytes")
+                    .value(static_cast<double>(e.attemptedBytes));
+                ew.key("budget_bytes")
+                    .value(static_cast<double>(e.budgetBytes));
+            });
         }
         crash.schedMode = run.sched.mode();
         crash.schedThreads = run.sched.threads;
@@ -889,7 +876,7 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
 std::string
 Server::errorReply(const std::string &id_json, const std::string &code,
                    const std::string &message,
-                   const std::string &extra_json) const
+                   const ErrorMembers &members) const
 {
     JsonWriter w;
     w.beginObject();
@@ -900,8 +887,8 @@ Server::errorReply(const std::string &id_json, const std::string &code,
     w.key("ok").value(false);
     w.key("error").beginObject();
     w.key("code").value(code).key("message").value(message);
-    if (!extra_json.empty())
-        w.raw(extra_json);
+    if (members)
+        members(w);
     w.endObject().endObject();
     return w.str();
 }

@@ -80,8 +80,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "service/compile_cache.hh"
-#include "service/wire.hh"
 
 namespace triq
 {
@@ -91,6 +91,19 @@ struct CrashBundle;
 /** Tuning knobs; non-positive fields fall back to TRIQ_SERVER_* env. */
 struct ServerConfig
 {
+    /**
+     * The lowest value each knob accepts from its TRIQ_SERVER_* env
+     * variable (below it the env value is ignored with a warning) or
+     * from its triqd flag (below it triqd exits 1). In-process callers
+     * may set any positive value.
+     */
+    static constexpr int kMinWorkers = 1;
+    static constexpr int kMinQueue = 1;
+    static constexpr double kMinTimeoutMs = 1.0;
+    static constexpr double kMinDrainMs = 0.0;
+    static constexpr int kMinRequestBytes = 1024;
+    static constexpr double kMinBudgetMs = 0.0;
+
     /** Worker threads executing requests (TRIQ_SERVER_THREADS, def 2). */
     int workers = 0;
 
@@ -248,10 +261,13 @@ class Server
     std::string executeCompileOrSimulate(const Pending &p,
                                          CrashBundle &crash);
 
+    /** Writes extra members into an error reply's open error object. */
+    using ErrorMembers = std::function<void(JsonWriter &)>;
+
     std::string errorReply(const std::string &id_json,
                            const std::string &code,
                            const std::string &message,
-                           const std::string &extra_json = "") const;
+                           const ErrorMembers &members = nullptr) const;
 
     void recordLatency(double ms);
 

@@ -10,8 +10,8 @@
 #include <optional>
 #include <unordered_map>
 
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "service/wire.hh"
 
 namespace triq
 {

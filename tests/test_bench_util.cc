@@ -100,77 +100,6 @@ TEST(BenchVerdict, BreachOutranksWarmRecompileOutranksGate)
     EXPECT_EQ(v.exitCode(), 4);
 }
 
-/** argv-style storage for Flags::parse. */
-struct Argv
-{
-    explicit Argv(std::vector<std::string> args) : args_(std::move(args))
-    {
-        for (std::string &a : args_)
-            ptrs_.push_back(a.data());
-    }
-    int argc() { return static_cast<int>(ptrs_.size()); }
-    char **argv() { return ptrs_.data(); }
-
-    std::vector<std::string> args_;
-    std::vector<char *> ptrs_;
-};
-
-TEST(BenchFlags, ParsesEveryKind)
-{
-    int trials = 1000;
-    long budget = 7;
-    double tolerance = 0.9;
-    std::string json;
-    bool wide = false;
-    std::vector<std::string> benches;
-    std::vector<int> qubits = {16, 20};
-    Argv args({"prog", "--trials", "256", "--bench", "BV8", "--wide",
-               "--budget", "200000", "--tolerance", "0.5", "--bench",
-               "QFT", "--qubits", "16,18", "--json", "out.json"});
-    bench::Flags("prog")
-        .add("--trials", trials)
-        .add("--budget", budget)
-        .add("--tolerance", tolerance)
-        .add("--json", json)
-        .add("--wide", wide)
-        .add("--bench", benches)
-        .add("--qubits", qubits)
-        .parse(args.argc(), args.argv());
-    EXPECT_EQ(trials, 256);
-    EXPECT_EQ(budget, 200000);
-    EXPECT_DOUBLE_EQ(tolerance, 0.5);
-    EXPECT_EQ(json, "out.json");
-    EXPECT_TRUE(wide);
-    EXPECT_EQ(benches, (std::vector<std::string>{"BV8", "QFT"}));
-    EXPECT_EQ(qubits, (std::vector<int>{16, 18}));
-}
-
-TEST(BenchFlags, UnsetFlagsKeepTheirDefaults)
-{
-    int reps = 3;
-    Argv args({"prog"});
-    bench::Flags("prog").add("--reps", reps).parse(args.argc(),
-                                                  args.argv());
-    EXPECT_EQ(reps, 3);
-}
-
-TEST(BenchFlags, RejectsUnknownMissingAndMalformed)
-{
-    setQuiet(true);
-    int reps = 3;
-    for (std::vector<std::string> bad :
-         {std::vector<std::string>{"prog", "--bogus"},
-          std::vector<std::string>{"prog", "--reps"},
-          std::vector<std::string>{"prog", "--reps", "two"},
-          std::vector<std::string>{"prog", "--reps", "2x"}}) {
-        Argv args(bad);
-        EXPECT_THROW(bench::Flags("prog").add("--reps", reps).parse(
-                         args.argc(), args.argv()),
-                     FatalError);
-    }
-    setQuiet(false);
-}
-
 TEST(BenchTimer, RotatesTheOrderAndKeepsEveryMode)
 {
     std::vector<std::pair<int, int>> calls; // (mode, rep) via after()

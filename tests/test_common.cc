@@ -7,11 +7,16 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/env.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/matrix.hh"
 #include "common/rng.hh"
@@ -387,6 +392,160 @@ TEST(ThreadPool, PropagatesJobExceptions)
     std::atomic<int> ok{0};
     parallelFor(pool, 4, [&](int) { ++ok; });
     EXPECT_EQ(ok.load(), 4);
+}
+
+/** argv-style storage for Flags::parse. */
+struct Argv
+{
+    explicit Argv(std::vector<std::string> args) : args_(std::move(args))
+    {
+        for (std::string &a : args_)
+            ptrs_.push_back(a.data());
+    }
+    int argc() { return static_cast<int>(ptrs_.size()); }
+    char **argv() { return ptrs_.data(); }
+
+    std::vector<std::string> args_;
+    std::vector<char *> ptrs_;
+};
+
+TEST(Flags, ParsesEveryKind)
+{
+    int trials = 1000;
+    long budget = 7;
+    double tolerance = 0.9;
+    std::string json;
+    bool wide = false;
+    std::vector<std::string> benches;
+    std::vector<int> qubits = {16, 20};
+    Argv args({"prog", "--trials", "256", "--bench", "BV8", "--wide",
+               "--budget", "200000", "--tolerance", "0.5", "--bench",
+               "QFT", "--qubits", "16,18", "--json", "out.json"});
+    Flags("prog")
+        .add("--trials", trials)
+        .add("--budget", budget)
+        .add("--tolerance", tolerance)
+        .add("--json", json)
+        .add("--wide", wide)
+        .add("--bench", benches)
+        .add("--qubits", qubits)
+        .parse(args.argc(), args.argv());
+    EXPECT_EQ(trials, 256);
+    EXPECT_EQ(budget, 200000);
+    EXPECT_DOUBLE_EQ(tolerance, 0.5);
+    EXPECT_EQ(json, "out.json");
+    EXPECT_TRUE(wide);
+    EXPECT_EQ(benches, (std::vector<std::string>{"BV8", "QFT"}));
+    EXPECT_EQ(qubits, (std::vector<int>{16, 18}));
+}
+
+TEST(Flags, UnsetFlagsKeepTheirDefaults)
+{
+    int reps = 3;
+    Argv args({"prog"});
+    Flags("prog").add("--reps", reps).parse(args.argc(), args.argv());
+    EXPECT_EQ(reps, 3);
+}
+
+/** Parse `argv` against one int flag --reps (bound 1) and an operand;
+ *  the FatalError message, or "" when it parsed. */
+std::string
+flagsError(const std::vector<std::string> &argv)
+{
+    int reps = 3;
+    double ms = 1.0;
+    std::string input;
+    Argv args(argv);
+    setQuiet(true);
+    std::string what;
+    try {
+        Flags("prog")
+            .add("--reps", reps)
+            .atLeast(1)
+            .add("--ms", ms)
+            .operand(input)
+            .parse(args.argc(), args.argv());
+    } catch (const FatalError &e) {
+        what = e.what();
+    }
+    setQuiet(false);
+    return what;
+}
+
+TEST(Flags, RejectsUnknownMissingAndMalformed)
+{
+    for (std::vector<std::string> bad :
+         {std::vector<std::string>{"prog", "--bogus"},
+          std::vector<std::string>{"prog", "--reps"},
+          std::vector<std::string>{"prog", "--reps", "two"},
+          std::vector<std::string>{"prog", "--reps", "2x"},
+          std::vector<std::string>{"prog", "--reps", "1e3"},
+          std::vector<std::string>{"prog", "--ms", "nan"}}) {
+        const std::string what = flagsError(bad);
+        EXPECT_NE(what.find(bad[1]), std::string::npos)
+            << bad[1] << ": '" << what << "'";
+    }
+}
+
+TEST(Flags, EnforcesTheLowerBound)
+{
+    EXPECT_EQ(flagsError({"prog", "--reps", "1"}), "");
+    const std::string what = flagsError({"prog", "--reps", "0"});
+    EXPECT_NE(what.find("--reps must be at least 1"), std::string::npos)
+        << what;
+}
+
+TEST(Flags, AliasesBindTheSameVariable)
+{
+    std::string device = "IBMQ5", out;
+    Argv args({"prog", "-d", "UMDTI", "--json", "a.json", "-o", "b.json"});
+    Flags("prog")
+        .add("--device", device)
+        .alias("-d")
+        .add("--json", out)
+        .alias("-o")
+        .parse(args.argc(), args.argv());
+    EXPECT_EQ(device, "UMDTI");
+    EXPECT_EQ(out, "b.json"); // the last occurrence wins
+}
+
+TEST(Flags, TakesOneOperandAndRejectsASecond)
+{
+    int reps = 3;
+    std::string input;
+    Argv args({"prog", "--reps", "2", "prog.scaff"});
+    Flags("prog").add("--reps", reps).operand(input).parse(args.argc(),
+                                                           args.argv());
+    EXPECT_EQ(input, "prog.scaff");
+    EXPECT_EQ(reps, 2);
+
+    const std::string what = flagsError({"prog", "a.scaff", "b.scaff"});
+    EXPECT_NE(what.find("second operand 'b.scaff'"), std::string::npos)
+        << what;
+    // Without a bound operand, a bare word is an unknown argument.
+    std::string none;
+    Argv bare({"prog", "a.scaff"});
+    setQuiet(true);
+    EXPECT_THROW(Flags("prog").add("--json", none).parse(bare.argc(),
+                                                         bare.argv()),
+                 FatalError);
+    setQuiet(false);
+}
+
+TEST(FlagsDeathTest, HelpPrintsUsageAndExitsZero)
+{
+    auto help = [](const char *flag) {
+        // Usage goes to stdout; route it where EXPECT_EXIT looks.
+        std::cout.rdbuf(std::cerr.rdbuf());
+        int reps = 3;
+        Argv args({"prog", flag, "--reps", "bogus"});
+        Flags("prog", "usage: prog [--reps N]\n")
+            .add("--reps", reps)
+            .parse(args.argc(), args.argv());
+    };
+    EXPECT_EXIT(help("--help"), ::testing::ExitedWithCode(0),
+                "usage: prog \\[--reps N\\]");
+    EXPECT_EXIT(help("-h"), ::testing::ExitedWithCode(0), "usage: prog");
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/crash_report.hh"
 #include "device/machines.hh"
@@ -440,6 +441,36 @@ TEST(CrashReport, RetiredSimFusionKeyStillLoadsAndReplays)
     EXPECT_EQ(rc, 0);
     EXPECT_EQ(slurp(replay_out), slurp(direct_out));
     EXPECT_FALSE(slurp(replay_out).empty());
+}
+
+TEST(TriqcCli, DiagJsonOutputParses)
+{
+    TempDir tmp;
+    const fs::path out = tmp.path / "diag.json";
+    int rc = runCmd(std::string(TRIQ_TRIQC_PATH) +
+                    " --bench BV4 -d IBMQ5 --diag-json -o /dev/null > " +
+                    out.string() + " 2>/dev/null");
+    ASSERT_EQ(rc, 0);
+    JsonParseResult ok = parseJson(slurp(out));
+    ASSERT_TRUE(ok.ok) << ok.error << " at " << ok.errorAt;
+    const JsonValue *report = ok.value.find("report");
+    ASSERT_TRUE(report && report->isObject());
+    EXPECT_EQ(report->getString("mapper_engine"), "bnb");
+    EXPECT_FALSE(report->getBool("deadline_hit", true));
+    const JsonValue *diags = ok.value.find("diagnostics");
+    ASSERT_TRUE(diags && diags->isObject());
+    EXPECT_EQ(diags->getNumber("errors", -1.0), 0.0);
+
+    // A front-end failure prints the diagnostics alone, then exits 1.
+    const fs::path bad = tmp.path / "bad.scaff";
+    std::ofstream(bad) << "module main() { qbit q[2]; CNOT(q[0] q[1]); }\n";
+    rc = runCmd(std::string(TRIQ_TRIQC_PATH) + " " + bad.string() +
+                " --diag-json > " + out.string() + " 2>/dev/null");
+    EXPECT_EQ(rc, 1);
+    JsonParseResult failed = parseJson(slurp(out));
+    ASSERT_TRUE(failed.ok) << failed.error << " at " << failed.errorAt;
+    EXPECT_EQ(failed.value.find("report"), nullptr);
+    EXPECT_GT(failed.value.find("diagnostics")->getNumber("errors"), 0.0);
 }
 
 #endif // TRIQ_TRIQC_PATH

@@ -9,6 +9,7 @@
  */
 
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -18,6 +19,7 @@
 
 #include "common/budget.hh"
 #include "common/fault_injector.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/compiler.hh"
 #include "device/machines.hh"
@@ -392,10 +394,35 @@ TEST(CompileReportTest, ReportCarriesEnginesTimingsAndRenders)
         EXPECT_GE(p.ms, 0.0);
     }
     EXPECT_NE(r.str().find("mapper:"), std::string::npos);
-    std::string json = r.json();
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
-    EXPECT_NE(json.find("\"mapperEngine\":\"bnb\""), std::string::npos);
+    JsonParseResult parsed = parseJson(r.json());
+    ASSERT_TRUE(parsed.ok) << parsed.error << " at " << parsed.errorAt;
+    const JsonValue &j = parsed.value;
+    EXPECT_EQ(j.getString("requested_mapper"), "bnb");
+    EXPECT_EQ(j.getString("mapper_engine"), "bnb");
+    EXPECT_EQ(j.getNumber("mapper_nodes", -1.0),
+              static_cast<double>(r.mapperNodes));
+    EXPECT_EQ(j.getBool("mapper_optimal", !r.mapperOptimal),
+              r.mapperOptimal);
+    EXPECT_EQ(j.getString("mapper_bound_type"), r.mapperBoundType);
+    EXPECT_FALSE(j.getBool("degraded", true));
+    EXPECT_FALSE(j.getBool("deadline_hit", true));
+    EXPECT_EQ(j.getNumber("calibration_repairs", -1.0),
+              r.calibrationRepairs);
+    const JsonValue *passes = j.find("passes");
+    ASSERT_TRUE(passes && passes->isArray());
+    ASSERT_EQ(passes->array.size(), r.passes.size());
+    for (size_t i = 0; i < r.passes.size(); ++i) {
+        EXPECT_EQ(passes->array[i].getString("pass"), r.passes[i].pass);
+        EXPECT_EQ(passes->array[i].getNumber("ms", -1.0), r.passes[i].ms);
+    }
+    const JsonValue *diags = j.find("calibration_diagnostics");
+    ASSERT_TRUE(diags && diags->isObject());
+    EXPECT_EQ(diags->getNumber("errors", -1.0), 0.0);
+    // snake_case throughout: no camelCase key survives.
+    for (const auto &[key, val] : j.members)
+        for (char ch : key)
+            EXPECT_FALSE(std::isupper(static_cast<unsigned char>(ch)))
+                << key;
 }
 
 TEST(CompileReportTest, SmtRequestRecordsLadderInReport)

@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/decompose.hh"
@@ -685,6 +687,65 @@ truncateJournal(const fs::path &p, int lines, int extra_bytes)
 }
 
 } // namespace
+
+TEST(SweepMatrix, ParsesAndCarriesEveryEspBitForBit)
+{
+    SweepConfig cfg = journalConfig("");
+    CompileCache cache;
+    SweepResult res = runSweep(cfg, &cache);
+    const CompileCache::Stats cs = cache.stats();
+    auto bits = [](double v) {
+        uint64_t b;
+        std::memcpy(&b, &v, sizeof b);
+        return b;
+    };
+    for (bool deterministic : {true, false}) {
+        SCOPED_TRACE(deterministic ? "deterministic" : "full");
+        std::ostringstream os;
+        writeSweepMatrix(os, cfg, res, &cs, deterministic);
+        const std::string text = os.str();
+        ASSERT_FALSE(text.empty());
+        EXPECT_EQ(text.find('\n'), text.size() - 1); // one line
+        JsonParseResult parsed = parseJson(text);
+        ASSERT_TRUE(parsed.ok) << parsed.error << " at " << parsed.errorAt;
+        const JsonValue *cells = parsed.value.find("cells");
+        ASSERT_TRUE(cells && cells->isArray());
+        ASSERT_EQ(cells->array.size(), res.cells.size());
+        int evaluated = 0;
+        for (size_t i = 0; i < res.cells.size(); ++i) {
+            const SweepCell &c = res.cells[i];
+            const JsonValue &j = cells->array[i];
+            EXPECT_EQ(j.getString("program"),
+                      cfg.programs[c.programIndex].name);
+            EXPECT_EQ(j.getNumber("day", -1.0), c.day);
+            EXPECT_EQ(j.getString("source"), cellSourceName(c.source));
+            if (c.source == CellSource::Skipped ||
+                c.source == CellSource::Error)
+                continue;
+            ++evaluated;
+            ASSERT_TRUE(j.find("esp") && j.find("esp")->isNumber());
+            EXPECT_EQ(bits(j.getNumber("esp")), bits(c.esp)) << i;
+            EXPECT_EQ(bits(j.getNumber("esp_at_compile")),
+                      bits(c.espAtCompile))
+                << i;
+            for (const char *key :
+                 {"ms", "mapper_engine", "mapper_nodes", "mapper_optimal",
+                  "mapper_bound_pruned", "mapper_symmetry_pruned",
+                  "mapper_dominance_pruned", "mapper_warm_start"})
+                EXPECT_EQ(j.find(key) != nullptr, !deterministic) << key;
+            if (!deterministic) {
+                EXPECT_EQ(j.getString("mapper_engine"),
+                          c.result->report.mapperEngine);
+            }
+        }
+        EXPECT_GT(evaluated, 0);
+        const JsonValue *stats = parsed.value.find("stats");
+        ASSERT_TRUE(stats && stats->isObject());
+        EXPECT_EQ(stats->getNumber("cells", -1.0), res.stats.cells);
+        EXPECT_EQ(stats->find("wall_ms") != nullptr, !deterministic);
+        EXPECT_EQ(parsed.value.find("cache") != nullptr, !deterministic);
+    }
+}
 
 TEST(SweepJournal, RoundTripsCellsAndArtifacts)
 {

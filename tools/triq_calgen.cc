@@ -13,10 +13,10 @@
  *   triq-calgen -d UMDTI --average -o cal.txt
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "device/machines.hh"
 
@@ -30,31 +30,15 @@ main(int argc, char **argv)
         std::string output;
         int day = 0;
         bool average = false;
-        for (int i = 1; i < argc; ++i) {
-            const char *arg = argv[i];
-            auto need_value = [&](const char *flag) -> const char * {
-                if (i + 1 >= argc)
-                    fatal("triq-calgen: ", flag, " needs a value");
-                return argv[++i];
-            };
-            if (!std::strcmp(arg, "-d") ||
-                !std::strcmp(arg, "--device"))
-                device = need_value(arg);
-            else if (!std::strcmp(arg, "--day"))
-                day = std::atoi(need_value(arg));
-            else if (!std::strcmp(arg, "--average"))
-                average = true;
-            else if (!std::strcmp(arg, "-o"))
-                output = need_value(arg);
-            else if (!std::strcmp(arg, "-h") ||
-                     !std::strcmp(arg, "--help")) {
-                std::cerr << "usage: triq-calgen -d DEVICE "
-                             "[--day N | --average] [-o FILE]\n";
-                return 0;
-            } else {
-                fatal("triq-calgen: unknown option '", arg, "'");
-            }
-        }
+        Flags("triq-calgen",
+              "usage: triq-calgen -d DEVICE [--day N | --average] "
+              "[-o FILE]\n")
+            .add("--device", device)
+            .alias("-d")
+            .add("--day", day)
+            .add("--average", average)
+            .add("-o", output)
+            .parse(argc, argv);
         Device dev = [&] {
             for (auto &d : allStudyDevices())
                 if (d.name() == device)

@@ -45,8 +45,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/flags.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "service/wire.hh"
 #include "workloads/benchmarks.hh"
 
 namespace triq
@@ -305,53 +306,29 @@ percentile(std::vector<double> sample, double p)
     return sample[rank];
 }
 
-void
-usage()
-{
-    std::cerr << "usage: triq-loadgen --socket PATH [--clients N] "
-                 "[--reps R] [--op compile|simulate] [--trials T] "
-                 "[--device NAME] [--fault] [--timeout-ms T] "
-                 "[-o FILE]\n";
-}
+const char *const kUsage =
+    "usage: triq-loadgen --socket PATH [--clients N] [--reps R] "
+    "[--op compile|simulate] [--trials T] [--device NAME] [--fault] "
+    "[--timeout-ms T] [-o FILE]\n";
 
 int
 run(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("triq-loadgen: ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(arg, "--socket"))
-            opt.socketPath = next();
-        else if (!std::strcmp(arg, "--clients"))
-            opt.clients = std::atoi(next());
-        else if (!std::strcmp(arg, "--reps"))
-            opt.reps = std::atoi(next());
-        else if (!std::strcmp(arg, "--op"))
-            opt.op = next();
-        else if (!std::strcmp(arg, "--trials"))
-            opt.trials = std::atoi(next());
-        else if (!std::strcmp(arg, "--device"))
-            opt.device = next();
-        else if (!std::strcmp(arg, "--fault"))
-            opt.fault = true;
-        else if (!std::strcmp(arg, "--timeout-ms"))
-            opt.timeoutMs = std::atof(next());
-        else if (!std::strcmp(arg, "-o") || !std::strcmp(arg, "--json"))
-            opt.outPath = next();
-        else if (!std::strcmp(arg, "-h") || !std::strcmp(arg, "--help")) {
-            usage();
-            return 0;
-        } else {
-            fatal("triq-loadgen: unknown option '", arg, "'");
-        }
-    }
+    Flags("triq-loadgen", kUsage)
+        .add("--socket", opt.socketPath)
+        .add("--clients", opt.clients)
+        .add("--reps", opt.reps)
+        .add("--op", opt.op)
+        .add("--trials", opt.trials)
+        .add("--device", opt.device)
+        .add("--fault", opt.fault)
+        .add("--timeout-ms", opt.timeoutMs)
+        .add("--json", opt.outPath)
+        .alias("-o")
+        .parse(argc, argv);
     if (opt.socketPath.empty()) {
-        usage();
+        std::cerr << kUsage;
         return 1;
     }
     if (opt.op != "compile" && opt.op != "simulate")
@@ -387,26 +364,19 @@ run(int argc, char **argv)
     // Final server-side snapshot over a fresh connection: cache heat
     // and the daemon's own view of the campaign (crashes must be 0
     // unless the campaign deliberately injected panics).
-    std::string stats_body = "null";
+    JsonValue server_stats; // null unless the daemon answers
     {
+        JsonWriter rq;
+        rq.beginObject().key("id").value("stats").key("op").value("stats");
+        rq.endObject();
         LineClient conn;
-        if (conn.connectTo(opt.socketPath) &&
-            conn.sendLine("{\"id\":\"stats\",\"op\":\"stats\"}")) {
-            std::string reply;
-            if (conn.readLine(reply, opt.timeoutMs)) {
-                JsonParseResult parsed = parseJson(reply);
-                if (parsed.ok && parsed.value.isObject() &&
-                    parsed.value.find("stats")) {
-                    // The stats object is the reply's last member, so
-                    // it spans from its opening brace to the reply's
-                    // penultimate brace; splice it verbatim.
-                    size_t at = reply.find("\"stats\":");
-                    size_t open = reply.find('{', at);
-                    size_t close = reply.rfind('}');
-                    if (open != std::string::npos && close > open)
-                        stats_body = reply.substr(open, close - open);
-                }
-            }
+        std::string reply;
+        if (conn.connectTo(opt.socketPath) && conn.sendLine(rq.str()) &&
+            conn.readLine(reply, opt.timeoutMs)) {
+            JsonParseResult parsed = parseJson(reply);
+            if (parsed.ok)
+                if (const JsonValue *stats = parsed.value.find("stats"))
+                    server_stats = *stats;
         }
     }
 
@@ -442,7 +412,7 @@ run(int argc, char **argv)
                    : *std::max_element(total.latencies.begin(),
                                        total.latencies.end()))
         .endObject();
-    w.key("server_stats").raw(stats_body);
+    w.key("server_stats").value(server_stats);
     w.endObject();
 
     std::ofstream out(opt.outPath);

@@ -36,12 +36,12 @@
  * TRIQ_SWEEP_DRIFT.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "common/diagnostics.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "device/machines.hh"
 #include "lang/lower.hh"
@@ -208,27 +208,23 @@ loadManifest(const std::string &path)
     return cfg;
 }
 
-void
-usage()
-{
-    std::cerr
-        << "usage: triq-sweep --manifest FILE [options]\n"
-           "  --manifest FILE   sweep grid description (required)\n"
-           "  -o, --json FILE   write the results matrix here (default\n"
-           "                    stdout)\n"
-           "  --threads N       worker threads; 0 = adaptive (default:\n"
-           "                    TRIQ_SWEEP_THREADS, else adaptive —\n"
-           "                    the cost model decides per day)\n"
-           "  --drift T         reuse CN artifacts whose predicted ESP\n"
-           "                    degraded <= T (relative); default off\n"
-           "  --no-cache        disable the compile cache\n"
-           "  --journal FILE    append every resolved cell to a\n"
-           "                    crash-safe fsync'd JSONL journal (also\n"
-           "                    switches the matrix to deterministic\n"
-           "                    mode: no wall-clock fields)\n"
-           "  --resume          restore finished cells from --journal\n"
-           "                    instead of recomputing them\n";
-}
+const char *const kUsage =
+    "usage: triq-sweep --manifest FILE [options]\n"
+    "  --manifest FILE   sweep grid description (required)\n"
+    "  -o, --json FILE   write the results matrix here (default\n"
+    "                    stdout)\n"
+    "  --threads N       worker threads; 0 = adaptive (default:\n"
+    "                    TRIQ_SWEEP_THREADS, else adaptive —\n"
+    "                    the cost model decides per day)\n"
+    "  --drift T         reuse CN artifacts whose predicted ESP\n"
+    "                    degraded <= T (relative); default off\n"
+    "  --no-cache        disable the compile cache\n"
+    "  --journal FILE    append every resolved cell to a\n"
+    "                    crash-safe fsync'd JSONL journal (also\n"
+    "                    switches the matrix to deterministic\n"
+    "                    mode: no wall-clock fields)\n"
+    "  --resume          restore finished cells from --journal\n"
+    "                    instead of recomputing them\n";
 
 int
 run(int argc, char **argv)
@@ -238,36 +234,18 @@ run(int argc, char **argv)
     double drift = -3.0;
     bool no_cache = false;
     bool resume = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("triq-sweep: ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(arg, "--manifest"))
-            manifest = next();
-        else if (!std::strcmp(arg, "-o") || !std::strcmp(arg, "--json"))
-            out_path = next();
-        else if (!std::strcmp(arg, "--threads"))
-            threads = std::atoi(next());
-        else if (!std::strcmp(arg, "--drift"))
-            drift = std::atof(next());
-        else if (!std::strcmp(arg, "--no-cache"))
-            no_cache = true;
-        else if (!std::strcmp(arg, "--journal"))
-            journal_path = next();
-        else if (!std::strcmp(arg, "--resume"))
-            resume = true;
-        else if (!std::strcmp(arg, "-h") || !std::strcmp(arg, "--help")) {
-            usage();
-            return 0;
-        } else {
-            fatal("triq-sweep: unknown option '", arg, "'");
-        }
-    }
+    Flags("triq-sweep", kUsage)
+        .add("--manifest", manifest)
+        .add("--json", out_path)
+        .alias("-o")
+        .add("--threads", threads)
+        .add("--drift", drift)
+        .add("--no-cache", no_cache)
+        .add("--journal", journal_path)
+        .add("--resume", resume)
+        .parse(argc, argv);
     if (manifest.empty()) {
-        usage();
+        std::cerr << kUsage;
         return 1;
     }
 

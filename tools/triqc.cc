@@ -31,12 +31,13 @@
  * from the bundle. See src/core/crash_report.hh.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "common/fault_injector.hh"
+#include "common/flags.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/resource.hh"
 #include "core/compiler.hh"
@@ -79,103 +80,69 @@ struct Args
     bool listDevices = false;
 };
 
-void
-usage()
-{
-    std::cerr <<
-        "usage: triqc [options] <program.scaff>\n"
-        "  -d, --device NAME   target machine (see --list-devices)\n"
-        "  -O, --level L       n | 1q | c | cn         (default cn)\n"
-        "  -m, --mapper M      trivial|greedy|bnb|smt  (default bnb)\n"
-        "  --day N             calibration day         (default 0)\n"
-        "  --calibration FILE  load calibration from FILE (triq-calgen\n"
-        "                      format) instead of synthesizing a day\n"
-        "  --bench NAME        compile a built-in benchmark\n"
-        "  --qasm              input is OpenQASM 2.0\n"
-        "  --peephole          enable inverse-pair cancellation\n"
-        "  --budget-ms MS      wall-clock compile deadline; the pipeline\n"
-        "                      degrades gracefully (anytime mapping)\n"
-        "                      instead of overrunning\n"
-        "  --node-budget N     mapper search-node budget\n"
-        "  --strict-calibration  reject invalid calibration values\n"
-        "                      instead of clamping them\n"
-        "  --diag-json         print diagnostics + compile report as JSON\n"
-        "                      on stdout (suppresses assembly; use -o)\n"
-        "  --report            print stats, ESP, predicted success\n"
-        "  --verify            check compiled-vs-program equivalence\n"
-        "  --trials N          prediction trials       (default 2000)\n"
-        "  --sim-threads N     simulator worker threads for --report\n"
-        "                      (default: TRIQ_SIM_THREADS env, else 1;\n"
-        "                      -1 or env 0 = adaptive cost model;\n"
-        "                      results are identical for any value)\n"
-        "  --crash-dir DIR     where an internal-error crash report is\n"
-        "                      written (default triq-crash-<pid>/)\n"
-        "  --replay DIR        re-run the invocation captured in a\n"
-        "                      crash-report directory\n"
-        "  -o FILE             write assembly to FILE\n"
-        "  --list-devices      list the seven study machines\n";
-}
+const char *const kUsage =
+    "usage: triqc [options] <program.scaff>\n"
+    "  -d, --device NAME   target machine (see --list-devices)\n"
+    "  -O, --level L       n | 1q | c | cn         (default cn)\n"
+    "  -m, --mapper M      trivial|greedy|bnb|smt  (default bnb)\n"
+    "  --day N             calibration day         (default 0)\n"
+    "  --calibration FILE  load calibration from FILE (triq-calgen\n"
+    "                      format) instead of synthesizing a day\n"
+    "  --bench NAME        compile a built-in benchmark\n"
+    "  --qasm              input is OpenQASM 2.0\n"
+    "  --peephole          enable inverse-pair cancellation\n"
+    "  --budget-ms MS      wall-clock compile deadline; the pipeline\n"
+    "                      degrades gracefully (anytime mapping)\n"
+    "                      instead of overrunning\n"
+    "  --node-budget N     mapper search-node budget\n"
+    "  --strict-calibration  reject invalid calibration values\n"
+    "                      instead of clamping them\n"
+    "  --diag-json         print diagnostics + compile report as JSON\n"
+    "                      on stdout (suppresses assembly; use -o)\n"
+    "  --report            print stats, ESP, predicted success\n"
+    "  --verify            check compiled-vs-program equivalence\n"
+    "  --trials N          prediction trials       (default 2000)\n"
+    "  --sim-threads N     simulator worker threads for --report\n"
+    "                      (default: TRIQ_SIM_THREADS env, else 1;\n"
+    "                      -1 or env 0 = adaptive cost model;\n"
+    "                      results are identical for any value)\n"
+    "  --crash-dir DIR     where an internal-error crash report is\n"
+    "                      written (default triq-crash-<pid>/)\n"
+    "  --replay DIR        re-run the invocation captured in a\n"
+    "                      crash-report directory\n"
+    "  -o FILE             write assembly to FILE\n"
+    "  --list-devices      list the seven study machines\n";
 
 Args
 parseArgs(int argc, char **argv)
 {
     Args a;
-    auto need_value = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc)
-            fatal("triqc: ", flag, " needs a value");
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (!std::strcmp(arg, "-d") || !std::strcmp(arg, "--device"))
-            a.device = need_value(i, arg);
-        else if (!std::strcmp(arg, "-O") || !std::strcmp(arg, "--level"))
-            a.level = need_value(i, arg);
-        else if (!std::strcmp(arg, "-m") || !std::strcmp(arg, "--mapper"))
-            a.mapper = need_value(i, arg);
-        else if (!std::strcmp(arg, "--day"))
-            a.day = std::atoi(need_value(i, arg));
-        else if (!std::strcmp(arg, "--calibration"))
-            a.calibrationFile = need_value(i, arg);
-        else if (!std::strcmp(arg, "--bench"))
-            a.benchName = need_value(i, arg);
-        else if (!std::strcmp(arg, "--budget-ms"))
-            a.budgetMs = std::atof(need_value(i, arg));
-        else if (!std::strcmp(arg, "--node-budget"))
-            a.nodeBudget = std::atol(need_value(i, arg));
-        else if (!std::strcmp(arg, "--strict-calibration"))
-            a.strictCalibration = true;
-        else if (!std::strcmp(arg, "--diag-json"))
-            a.diagJson = true;
-        else if (!std::strcmp(arg, "--qasm"))
-            a.qasm = true;
-        else if (!std::strcmp(arg, "--peephole"))
-            a.peephole = true;
-        else if (!std::strcmp(arg, "--report"))
-            a.report = true;
-        else if (!std::strcmp(arg, "--verify"))
-            a.verify = true;
-        else if (!std::strcmp(arg, "--trials"))
-            a.trials = std::atoi(need_value(i, arg));
-        else if (!std::strcmp(arg, "--sim-threads"))
-            a.simThreads = std::atoi(need_value(i, arg));
-        else if (!std::strcmp(arg, "--crash-dir"))
-            a.crashDir = need_value(i, arg);
-        else if (!std::strcmp(arg, "--replay"))
-            a.replayDir = need_value(i, arg);
-        else if (!std::strcmp(arg, "-o"))
-            a.outputFile = need_value(i, arg);
-        else if (!std::strcmp(arg, "--list-devices"))
-            a.listDevices = true;
-        else if (!std::strcmp(arg, "-h") || !std::strcmp(arg, "--help")) {
-            usage();
-            std::exit(0);
-        } else if (arg[0] == '-') {
-            fatal("triqc: unknown option '", arg, "'");
-        } else {
-            a.inputFile = arg;
-        }
-    }
+    Flags("triqc", kUsage)
+        .add("--device", a.device)
+        .alias("-d")
+        .add("--level", a.level)
+        .alias("-O")
+        .add("--mapper", a.mapper)
+        .alias("-m")
+        .add("--day", a.day)
+        .add("--calibration", a.calibrationFile)
+        .add("--bench", a.benchName)
+        .add("--budget-ms", a.budgetMs)
+        .add("--node-budget", a.nodeBudget)
+        .add("--strict-calibration", a.strictCalibration)
+        .add("--diag-json", a.diagJson)
+        .add("--qasm", a.qasm)
+        .add("--peephole", a.peephole)
+        .add("--report", a.report)
+        .add("--verify", a.verify)
+        .add("--trials", a.trials)
+        .add("--sim-threads", a.simThreads)
+        .add("--crash-dir", a.crashDir)
+        .add("--replay", a.replayDir)
+        .add("-o", a.outputFile)
+        .add("--list-devices", a.listDevices)
+        .operand(a.inputFile)
+        .parse(argc, argv);
     return a;
 }
 
@@ -209,6 +176,22 @@ reportCrash(const char *what)
         std::cerr << "triqc: failed to write crash report to '" << dir
                   << "'\n";
     }
+}
+
+/**
+ * The --diag-json line: {"diagnostics": ..., "report": ...}, the
+ * report omitted when the front end failed before compiling.
+ */
+void
+printDiagJson(const Diagnostics &diags, const CompileReport *report)
+{
+    JsonWriter w;
+    w.beginObject();
+    diags.json(w.key("diagnostics"));
+    if (report)
+        report->json(w.key("report"));
+    w.endObject();
+    std::cout << w.str() << "\n";
 }
 
 OptLevel
@@ -276,7 +259,7 @@ run(int argc, char **argv)
                   << "'\n";
     }
     if (args.inputFile.empty() && args.benchName.empty()) {
-        usage();
+        std::cerr << kUsage;
         return 1;
     }
 
@@ -327,7 +310,7 @@ run(int argc, char **argv)
         std::cerr << diags.text();
     if (diags.hasErrors()) {
         if (args.diagJson)
-            std::cout << "{\"diagnostics\":" << diags.json() << "}\n";
+            printDiagJson(diags, nullptr);
         std::cerr << "triqc: " << diags.errorCount()
                   << " error(s) in '" << args.inputFile << "'\n";
         return 1;
@@ -384,8 +367,7 @@ run(int argc, char **argv)
         std::cout << res.assembly;
     }
     if (args.diagJson)
-        std::cout << "{\"diagnostics\":" << diags.json()
-                  << ",\"report\":" << res.report.json() << "}\n";
+        printDiagJson(diags, &res.report);
 
     if (args.verify) {
         VerificationResult v = verifyCompilation(program, res);
@@ -444,10 +426,14 @@ main(int argc, char **argv)
         // failed allocation): a resource outcome, not a TriQ bug — one
         // structured diagnostic line and exit 1, never an abort or a
         // crash bundle.
-        std::cerr << "triqc: error: " << e.what()
-                  << "\n{\"code\": \"sim.oom\", \"attempted_bytes\": "
-                  << e.attemptedBytes
-                  << ", \"budget_bytes\": " << e.budgetBytes << "}\n";
+        JsonWriter w;
+        w.beginObject().key("code").value("sim.oom");
+        w.key("attempted_bytes")
+            .value(static_cast<double>(e.attemptedBytes));
+        w.key("budget_bytes").value(static_cast<double>(e.budgetBytes));
+        w.endObject();
+        std::cerr << "triqc: error: " << e.what() << "\n" << w.str()
+                  << "\n";
         return 1;
     } catch (const PanicError &e) {
         // Message already printed by panic(); dump the captured inputs

@@ -49,6 +49,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "service/server.hh"
 
@@ -297,26 +298,19 @@ serveSocket(Server &server, const std::string &path)
     return 0;
 }
 
-void
-usage()
-{
-    std::cerr
-        << "usage: triqd (--socket PATH | --stdio) [options]\n"
-           "  --socket PATH     serve a Unix-domain socket at PATH\n"
-           "  --stdio           serve stdin/stdout (one line per "
-           "request)\n"
-           "  --threads N       worker threads (TRIQ_SERVER_THREADS)\n"
-           "  --queue N         admission queue cap (TRIQ_SERVER_QUEUE)\n"
-           "  --timeout-ms T    queue-wait deadline "
-           "(TRIQ_SERVER_TIMEOUT_MS)\n"
-           "  --drain-ms T      drain deadline (TRIQ_SERVER_DRAIN_MS)\n"
-           "  --drain-hard-ms T in-flight hard cap at shutdown "
-           "(TRIQ_SERVER_DRAIN_HARD_MS)\n"
-           "  --max-bytes B     frame size cap (TRIQ_SERVER_MAX_BYTES)\n"
-           "  --budget-ms T     default compile budget "
-           "(TRIQ_SERVER_BUDGET_MS)\n"
-           "  --crash-dir DIR   crash-bundle base directory\n";
-}
+const char *const kUsage =
+    "usage: triqd (--socket PATH | --stdio) [options]\n"
+    "  --socket PATH     serve a Unix-domain socket at PATH\n"
+    "  --stdio           serve stdin/stdout (one line per request)\n"
+    "  --threads N       worker threads (TRIQ_SERVER_THREADS)\n"
+    "  --queue N         admission queue cap (TRIQ_SERVER_QUEUE)\n"
+    "  --timeout-ms T    queue-wait deadline (TRIQ_SERVER_TIMEOUT_MS)\n"
+    "  --drain-ms T      drain deadline (TRIQ_SERVER_DRAIN_MS)\n"
+    "  --drain-hard-ms T in-flight hard cap at shutdown "
+    "(TRIQ_SERVER_DRAIN_HARD_MS)\n"
+    "  --max-bytes B     frame size cap (TRIQ_SERVER_MAX_BYTES)\n"
+    "  --budget-ms T     default compile budget (TRIQ_SERVER_BUDGET_MS)\n"
+    "  --crash-dir DIR   crash-bundle base directory\n";
 
 int
 run(int argc, char **argv)
@@ -324,43 +318,30 @@ run(int argc, char **argv)
     ServerConfig cfg;
     std::string socket_path;
     bool stdio = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("triqd: ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(arg, "--socket"))
-            socket_path = next();
-        else if (!std::strcmp(arg, "--stdio"))
-            stdio = true;
-        else if (!std::strcmp(arg, "--threads"))
-            cfg.workers = std::atoi(next());
-        else if (!std::strcmp(arg, "--queue"))
-            cfg.queueCapacity = std::atoi(next());
-        else if (!std::strcmp(arg, "--timeout-ms"))
-            cfg.timeoutMs = std::atof(next());
-        else if (!std::strcmp(arg, "--drain-ms"))
-            cfg.drainMs = std::atof(next());
-        else if (!std::strcmp(arg, "--drain-hard-ms"))
-            cfg.drainHardMs = std::atof(next());
-        else if (!std::strcmp(arg, "--max-bytes"))
-            cfg.maxRequestBytes = std::atol(next());
-        else if (!std::strcmp(arg, "--budget-ms"))
-            cfg.budgetMs = std::atof(next());
-        else if (!std::strcmp(arg, "--crash-dir"))
-            cfg.crashDir = next();
-        else if (!std::strcmp(arg, "-h") || !std::strcmp(arg, "--help")) {
-            usage();
-            return 0;
-        } else {
-            fatal("triqd: unknown option '", arg, "'");
-        }
-    }
+    // Unset flags keep ServerConfig's "use the env" sentinels; a given
+    // flag must clear the same minimum its env twin does.
+    Flags("triqd", kUsage)
+        .add("--socket", socket_path)
+        .add("--stdio", stdio)
+        .add("--threads", cfg.workers)
+        .atLeast(ServerConfig::kMinWorkers)
+        .add("--queue", cfg.queueCapacity)
+        .atLeast(ServerConfig::kMinQueue)
+        .add("--timeout-ms", cfg.timeoutMs)
+        .atLeast(ServerConfig::kMinTimeoutMs)
+        .add("--drain-ms", cfg.drainMs)
+        .atLeast(ServerConfig::kMinDrainMs)
+        .add("--drain-hard-ms", cfg.drainHardMs)
+        .atLeast(ServerConfig::kMinDrainMs)
+        .add("--max-bytes", cfg.maxRequestBytes)
+        .atLeast(ServerConfig::kMinRequestBytes)
+        .add("--budget-ms", cfg.budgetMs)
+        .atLeast(ServerConfig::kMinBudgetMs)
+        .add("--crash-dir", cfg.crashDir)
+        .parse(argc, argv);
     if (stdio != socket_path.empty()) {
         // Exactly one transport must be chosen.
-        usage();
+        std::cerr << kUsage;
         return 1;
     }
 
