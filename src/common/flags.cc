@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -13,13 +14,9 @@
 namespace triq
 {
 
-namespace
-{
-
-/** Parse all of `text` as a finite number of type T, or fail. */
 template <typename T>
 T
-parseNumber(const std::string &prog, const std::string &flag,
+parseNumber(const std::string &where, const std::string &name,
             const std::string &text)
 {
     T v{};
@@ -29,13 +26,22 @@ parseNumber(const std::string &prog, const std::string &flag,
     if constexpr (std::is_floating_point_v<T>)
         ok = ok && std::isfinite(v);
     if (!ok)
-        fatal(prog, ": ", flag, " needs ",
+        fatal(where, ": ", name, " needs ",
               std::is_integral_v<T> ? "an integer" : "a number",
               ", got '", text, "'");
     return v;
 }
 
-} // namespace
+template int parseNumber<int>(const std::string &, const std::string &,
+                              const std::string &);
+template long parseNumber<long>(const std::string &, const std::string &,
+                                const std::string &);
+template uint64_t parseNumber<uint64_t>(const std::string &,
+                                        const std::string &,
+                                        const std::string &);
+template double parseNumber<double>(const std::string &,
+                                    const std::string &,
+                                    const std::string &);
 
 Flags::Spec &
 Flags::last()

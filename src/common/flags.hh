@@ -29,6 +29,19 @@
 namespace triq
 {
 
+/**
+ * Parse all of `text` as a finite number of type T (int, long,
+ * uint64_t or double) with std::from_chars: no locale, no leading
+ * space or '+', nothing after the number, so "three" is not 0 and
+ * "2e3" is not an int. Anything else is a FatalError
+ * "<where>: <name> needs an integer|a number, got '<text>'". Flags
+ * reads every numeric flag through it, and so does every other
+ * key=value reader (crash bundles, sweep manifests).
+ */
+template <typename T>
+T parseNumber(const std::string &where, const std::string &name,
+              const std::string &text);
+
 class Flags
 {
   public:

@@ -2,10 +2,10 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace triq
 {
@@ -486,9 +486,7 @@ JsonWriter::value(double v)
         out_ += "null";
         return *this;
     }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out_ += buf;
+    appendExact(out_, v);
     return *this;
 }
 

@@ -1,9 +1,9 @@
 #include "core/backend.hh"
 
-#include <cstdio>
-#include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace triq
 {
@@ -11,14 +11,55 @@ namespace triq
 namespace
 {
 
-std::string
-num(double v)
+// Each emitter appends into one string through put(): angles with the
+// shared %.17g formatter (17 significant digits, so every angle parses
+// back to the same bits), qubit indices in plain decimal. Neither reads
+// the global locale, unlike an ostream.
+void
+put(std::string &s, std::string_view text)
 {
-    // Shortest representation that round-trips exactly: emitted angles
-    // must survive a parse-back without accumulating phase error.
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    s += text;
+}
+
+void
+put(std::string &s, char ch)
+{
+    s += ch;
+}
+
+void
+put(std::string &s, int n)
+{
+    appendInt(s, n);
+}
+
+void
+put(std::string &s, double v)
+{
+    appendExact(s, v);
+}
+
+template <typename... Parts>
+void
+line(std::string &s, const Parts &...parts)
+{
+    (put(s, parts), ...);
+}
+
+/** An output string with room for `c`'s header and typical gate lines. */
+std::string
+startText(const Circuit &c)
+{
+    std::string s;
+    s.reserve(96 + c.name().size() + 32 * c.gates().size());
+    return s;
+}
+
+std::string_view
+title(const Circuit &c)
+{
+    return c.name().empty() ? std::string_view("triq output")
+                            : std::string_view(c.name());
 }
 
 } // namespace
@@ -26,71 +67,68 @@ num(double v)
 std::string
 toOpenQasm(const Circuit &c)
 {
-    std::ostringstream os;
-    os << "OPENQASM 2.0;\n";
-    os << "include \"qelib1.inc\";\n";
-    os << "// " << (c.name().empty() ? "triq output" : c.name()) << "\n";
-    os << "qreg q[" << c.numQubits() << "];\n";
-    os << "creg c[" << c.numQubits() << "];\n";
+    std::string out = startText(c);
+    line(out, "OPENQASM 2.0;\n");
+    line(out, "include \"qelib1.inc\";\n");
+    line(out, "// ", title(c), '\n');
+    line(out, "qreg q[", c.numQubits(), "];\n");
+    line(out, "creg c[", c.numQubits(), "];\n");
     for (const auto &g : c.gates()) {
         switch (g.kind) {
           case GateKind::U1:
           case GateKind::Rz:
-            os << "u1(" << num(g.params[0]) << ") q[" << g.qubit(0)
-               << "];\n";
+            line(out, "u1(", g.params[0], ") q[", g.qubit(0), "];\n");
             break;
           case GateKind::U2:
-            os << "u2(" << num(g.params[0]) << "," << num(g.params[1])
-               << ") q[" << g.qubit(0) << "];\n";
+            line(out, "u2(", g.params[0], ',', g.params[1], ") q[",
+                 g.qubit(0), "];\n");
             break;
           case GateKind::U3:
-            os << "u3(" << num(g.params[0]) << "," << num(g.params[1])
-               << "," << num(g.params[2]) << ") q[" << g.qubit(0)
-               << "];\n";
+            line(out, "u3(", g.params[0], ',', g.params[1], ',',
+                 g.params[2], ") q[", g.qubit(0), "];\n");
             break;
           case GateKind::Cnot:
-            os << "cx q[" << g.qubit(0) << "],q[" << g.qubit(1) << "];\n";
+            line(out, "cx q[", g.qubit(0), "],q[", g.qubit(1), "];\n");
             break;
           case GateKind::Measure:
-            os << "measure q[" << g.qubit(0) << "] -> c[" << g.qubit(0)
-               << "];\n";
+            line(out, "measure q[", g.qubit(0), "] -> c[", g.qubit(0),
+                 "];\n");
             break;
           case GateKind::Barrier:
-            os << "barrier q;\n";
+            line(out, "barrier q;\n");
             break;
           default:
             fatal("toOpenQasm: gate ", g.str(),
                   " is not in the IBM software-visible set");
         }
     }
-    return os.str();
+    return out;
 }
 
 std::string
 toQuil(const Circuit &c)
 {
-    std::ostringstream os;
-    os << "# " << (c.name().empty() ? "triq output" : c.name()) << "\n";
-    os << "DECLARE ro BIT[" << c.numQubits() << "]\n";
+    std::string out = startText(c);
+    line(out, "# ", title(c), '\n');
+    line(out, "DECLARE ro BIT[", c.numQubits(), "]\n");
     for (const auto &g : c.gates()) {
         switch (g.kind) {
           case GateKind::Rz:
           case GateKind::U1:
-            os << "RZ(" << num(g.params[0]) << ") " << g.qubit(0) << "\n";
+            line(out, "RZ(", g.params[0], ") ", g.qubit(0), '\n');
             break;
           case GateKind::Rx:
-            os << "RX(" << num(g.params[0]) << ") " << g.qubit(0) << "\n";
+            line(out, "RX(", g.params[0], ") ", g.qubit(0), '\n');
             break;
           case GateKind::Cz:
-            os << "CZ " << g.qubit(0) << " " << g.qubit(1) << "\n";
+            line(out, "CZ ", g.qubit(0), ' ', g.qubit(1), '\n');
             break;
           case GateKind::Cphase:
-            os << "CPHASE(" << num(g.params[0]) << ") " << g.qubit(0)
-               << " " << g.qubit(1) << "\n";
+            line(out, "CPHASE(", g.params[0], ") ", g.qubit(0), ' ',
+                 g.qubit(1), '\n');
             break;
           case GateKind::Measure:
-            os << "MEASURE " << g.qubit(0) << " ro[" << g.qubit(0)
-               << "]\n";
+            line(out, "MEASURE ", g.qubit(0), " ro[", g.qubit(0), "]\n");
             break;
           case GateKind::Barrier:
             break; // Quil has no explicit barrier; ordering suffices.
@@ -99,42 +137,41 @@ toQuil(const Circuit &c)
                   " is not in the Rigetti software-visible set");
         }
     }
-    return os.str();
+    return out;
 }
 
 std::string
 toUmdAsm(const Circuit &c)
 {
-    std::ostringstream os;
-    os << "; TriQ UMD-TI assembly: "
-       << (c.name().empty() ? "triq output" : c.name()) << "\n";
-    os << "ions " << c.numQubits() << "\n";
+    std::string out = startText(c);
+    line(out, "; TriQ UMD-TI assembly: ", title(c), '\n');
+    line(out, "ions ", c.numQubits(), '\n');
     for (const auto &g : c.gates()) {
         switch (g.kind) {
           case GateKind::Rz:
           case GateKind::U1:
-            os << "rz " << g.qubit(0) << " " << num(g.params[0]) << "\n";
+            line(out, "rz ", g.qubit(0), ' ', g.params[0], '\n');
             break;
           case GateKind::Rxy:
-            os << "rxy " << g.qubit(0) << " " << num(g.params[0]) << " "
-               << num(g.params[1]) << "\n";
+            line(out, "rxy ", g.qubit(0), ' ', g.params[0], ' ',
+                 g.params[1], '\n');
             break;
           case GateKind::Xx:
-            os << "ms " << g.qubit(0) << " " << g.qubit(1) << " "
-               << num(g.params[0]) << "\n";
+            line(out, "ms ", g.qubit(0), ' ', g.qubit(1), ' ', g.params[0],
+                 '\n');
             break;
           case GateKind::Measure:
-            os << "detect " << g.qubit(0) << "\n";
+            line(out, "detect ", g.qubit(0), '\n');
             break;
           case GateKind::Barrier:
-            os << "sync\n";
+            line(out, "sync\n");
             break;
           default:
             fatal("toUmdAsm: gate ", g.str(),
                   " is not in the UMD software-visible set");
         }
     }
-    return os.str();
+    return out;
 }
 
 std::string

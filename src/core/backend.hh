@@ -6,6 +6,10 @@
  *   IBM     -> OpenQASM 2.0
  *   Rigetti -> Quil
  *   UMD     -> the trapped-ion machine's low-level assembly
+ *
+ * Angles are written with the bytes of C-locale printf("%.17g") and
+ * qubit indices in plain decimal (common/text.hh), whatever the global
+ * locale, so the text parses back to the same circuit bit for bit.
  */
 
 #ifndef TRIQ_CORE_BACKEND_HH

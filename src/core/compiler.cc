@@ -182,7 +182,9 @@ compileForDevice(const Circuit &program, const Device &dev,
     // 2. Reliability matrix: the CN level sees the day's calibration;
     //    every other level sees average error rates (Sec. 4.2).
     const bool noise_aware = opts.level == OptLevel::OneQOptCN;
-    Calibration avg = dev.averageCalibration();
+    Calibration avg;
+    if (!noise_aware)
+        avg = dev.averageCalibration();
     const Calibration &rel_calib = noise_aware ? day : avg;
     ReliabilityMatrix rel(dev.topology(), rel_calib, dev.vendor());
     mark("reliability-matrix");

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 
 #ifdef _WIN32
@@ -126,6 +128,11 @@ CrashBundle::load(const std::string &dir)
                   ": '", line, "'");
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
+        const std::string where =
+            "crash report: options.txt line " + std::to_string(lineno);
+        auto number = [&](auto &dst) {
+            dst = parseNumber<std::decay_t<decltype(dst)>>(where, key, val);
+        };
         if (key == "bench")
             b.benchName = val;
         else if (key == "qasm")
@@ -133,7 +140,7 @@ CrashBundle::load(const std::string &dir)
         else if (key == "device")
             b.device = val;
         else if (key == "day")
-            b.day = std::atoi(val.c_str());
+            number(b.day);
         else if (key == "level")
             b.level = val;
         else if (key == "mapper")
@@ -143,23 +150,23 @@ CrashBundle::load(const std::string &dir)
         else if (key == "strict_calibration")
             b.strictCalibration = val == "1";
         else if (key == "budget_ms")
-            b.budgetMs = std::atof(val.c_str());
+            number(b.budgetMs);
         else if (key == "node_budget")
-            b.nodeBudget = std::atol(val.c_str());
+            number(b.nodeBudget);
         else if (key == "seed")
-            b.seed = std::strtoull(val.c_str(), nullptr, 10);
+            number(b.seed);
         else if (key == "trials")
-            b.trials = std::atoi(val.c_str());
+            number(b.trials);
         else if (key == "sim_threads")
-            b.simThreads = std::atoi(val.c_str());
+            number(b.simThreads);
         else if (key == "request_id")
             b.requestId = val;
         else if (key == "sched_mode")
             b.schedMode = val;
         else if (key == "sched_threads")
-            b.schedThreads = std::atoi(val.c_str());
+            number(b.schedThreads);
         else if (key == "sched_items_per_task")
-            b.schedItemsPerTask = std::atoi(val.c_str());
+            number(b.schedItemsPerTask);
         // Unknown keys are skipped so newer bundles load in older
         // builds and retired keys (sim_fusion) still load in newer
         // ones; the replay just ignores options it does not know.

@@ -124,7 +124,9 @@ struct CrashBundle
 
     /**
      * Load a bundle written by write(). Throws FatalError on a missing
-     * directory, unreadable file or malformed options.txt.
+     * directory, unreadable file or malformed options.txt; a numeric
+     * option that is not exactly a number of its field's type
+     * ("day=three", "trials=2e3") is malformed and names its key.
      */
     static CrashBundle load(const std::string &dir);
 };

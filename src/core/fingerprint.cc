@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 #include "device/device.hh"
 
 namespace triq
@@ -25,15 +26,6 @@ enum : uint64_t
     kTagOptions = 0x0F,
     kTagSanitize = 0x5A,
 };
-
-/** Full-precision double rendering for the canonical artifact text. */
-std::string
-fmtExact(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 } // namespace
 
@@ -242,7 +234,7 @@ canonicalCompileResultText(const CompileResult &res, bool include_timings)
             os << " q" << g.qubit(i);
         int np = gateNumParams(g.kind);
         for (int i = 0; i < np; ++i)
-            os << " " << fmtExact(g.params[i]);
+            os << " " << exactText(g.params[i]);
         os << "\n";
     }
     auto map = [&](const char *label, const std::vector<HwQubit> &m) {
@@ -257,7 +249,7 @@ canonicalCompileResultText(const CompileResult &res, bool include_timings)
        << "pulses1q " << res.stats.pulses1q << "\n"
        << "virtualZ " << res.stats.virtualZ << "\n"
        << "twoQ " << res.stats.twoQ << "\n"
-       << "mapper_objective " << fmtExact(res.mapperObjective) << "\n"
+       << "mapper_objective " << exactText(res.mapperObjective) << "\n"
        << "assembly_bytes " << res.assembly.size() << "\n"
        << res.assembly;
     const CompileReport &r = res.report;

@@ -149,14 +149,27 @@ constexpr double kMaxErrRate = 0.999999;
 constexpr double kFallbackErrRate = 0.5;
 constexpr double kFallbackT2Us = 1.0;
 
+/** Index of a scalar field: valueName() prints no subscript. */
+constexpr size_t kScalar = static_cast<size_t>(-1);
+
+/** "field[index]", or "field" for a scalar. Built only once a value is
+ *  bad: every compile validates its calibration. */
+std::string
+valueName(const char *field, size_t index)
+{
+    std::string name(field);
+    if (index != kScalar)
+        name += "[" + std::to_string(index) + "]";
+    return name;
+}
+
 /** One value-level check/repair; returns true when `v` was bad. */
 bool
 checkRate(double &v, ValidateMode mode, Diagnostics &diags,
           const char *field, size_t index)
 {
-    std::string where =
-        std::string(field) + "[" + std::to_string(index) + "]";
     if (!std::isfinite(v)) {
+        std::string where = valueName(field, index);
         if (mode == ValidateMode::Sanitize) {
             diags.warning("calib.nan-error-rate",
                           where + " is not finite; clamped to " +
@@ -168,6 +181,7 @@ checkRate(double &v, ValidateMode mode, Diagnostics &diags,
         return true;
     }
     if (v < 0.0 || v > kMaxErrRate) {
+        std::string where = valueName(field, index);
         double clamped = std::clamp(v, 0.0, kMaxErrRate);
         if (mode == ValidateMode::Sanitize) {
             diags.warning("calib.error-rate-out-of-range",
@@ -188,10 +202,11 @@ checkRate(double &v, ValidateMode mode, Diagnostics &diags,
 /** Positive-finite check for durations and coherence times. */
 bool
 checkPositive(double &v, double fallback, ValidateMode mode,
-              Diagnostics &diags, const std::string &where)
+              Diagnostics &diags, const char *field, size_t index = kScalar)
 {
     if (std::isfinite(v) && v > 0.0)
         return false;
+    std::string where = valueName(field, index);
     if (mode == ValidateMode::Sanitize) {
         diags.warning("calib.nonpositive-duration",
                       where + " = " + std::to_string(v) +
@@ -259,8 +274,7 @@ Calibration::validate(ValidateMode mode, Diagnostics &diags)
     for (size_t i = 0; i < err2q.size(); ++i)
         count(checkRate(err2q[i], mode, diags, "err2q", i));
     for (size_t i = 0; i < t2Us.size(); ++i)
-        count(checkPositive(t2Us[i], kFallbackT2Us, mode, diags,
-                            "t2us[" + std::to_string(i) + "]"));
+        count(checkPositive(t2Us[i], kFallbackT2Us, mode, diags, "t2us", i));
 
     count(checkPositive(durations.oneQ, 0.05, mode, diags,
                         "durations.oneQ"));

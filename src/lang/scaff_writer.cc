@@ -1,10 +1,10 @@
 #include "lang/scaff_writer.hh"
 
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace triq
 {
@@ -33,9 +33,7 @@ angle(double v)
     for (const auto &s : specials)
         if (std::abs(v - s.value) < 1e-12)
             return s.text;
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return exactText(v);
 }
 
 std::string

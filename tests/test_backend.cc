@@ -2,15 +2,19 @@
  * @file
  * Backend tests: OpenQASM round-trips through the importer with the
  * same unitary; Quil and UMD assembly contain the expected directives;
- * out-of-set gates are rejected.
+ * out-of-set gates are rejected; the emitted bytes are pinned across
+ * the study grid and do not depend on the global C++ locale.
  */
 
 #include <gtest/gtest.h>
+
+#include <locale>
 
 #include "common/logging.hh"
 
 #include "core/backend.hh"
 #include "core/compiler.hh"
+#include "core/fingerprint.hh"
 #include "core/unitary.hh"
 #include "device/machines.hh"
 #include "lang/qasm_parser.hh"
@@ -123,6 +127,71 @@ TEST(Backend, FullPipelineAssemblyParsesBack)
         Circuit back = parseOpenQasm(res.assembly);
         EXPECT_EQ(back.count2q(), res.stats.twoQ) << name;
     }
+}
+
+TEST(Backend, StudyGridAssemblyBytesArePinned)
+{
+    // FNV-1a over the assembly of every (study benchmark, study
+    // device, level) cell that fits, on day 0. The value was recorded
+    // with the iostream/snprintf("%.17g") emitter this one replaced
+    // (x86-64, GCC 12, glibc); any change to an emitted byte moves it.
+    Fnv1a h;
+    int cells = 0;
+    for (const Device &dev : allStudyDevices()) {
+        Calibration calib = dev.calibrate(0);
+        for (const std::string &name : benchmarkNames()) {
+            Circuit prog = makeBenchmark(name);
+            if (prog.numQubits() > dev.numQubits())
+                continue;
+            for (OptLevel level : {OptLevel::N, OptLevel::OneQOpt,
+                                   OptLevel::OneQOptC,
+                                   OptLevel::OneQOptCN}) {
+                CompileOptions opts;
+                opts.level = level;
+                CompileResult res = compileForDevice(prog, dev, calib, opts);
+                h.str(res.assembly);
+                ++cells;
+            }
+        }
+    }
+    EXPECT_EQ(cells, 300);
+    EXPECT_EQ(h.value(), 0x2c89ef0f7a60c4aeull) << std::hex << h.value();
+}
+
+/** Digit grouping "1'2" for every integer an ostream writes. */
+struct GroupingPunct : std::numpunct<char>
+{
+    std::string do_grouping() const override { return "\1"; }
+    char do_thousands_sep() const override { return '\''; }
+};
+
+TEST(Backend, EmissionIgnoresGlobalLocale)
+{
+    // An application that installs a grouping locale must still get
+    // valid assembly: "q[12]", never "q[1'2]".
+    std::locale saved =
+        std::locale::global(std::locale(std::locale(), new GroupingPunct));
+    Circuit ibm(14);
+    ibm.add(Gate::cnot(12, 13));
+    Circuit rig(14);
+    rig.add(Gate::cz(12, 13));
+    rig.add(Gate::rz(12, 1234.5));
+    Circuit umd(14);
+    umd.add(Gate::xx(12, 13, 1234.5));
+    std::string qasm = toOpenQasm(ibm);
+    std::string quil = toQuil(rig);
+    std::string umd_asm = toUmdAsm(umd);
+    std::locale::global(saved);
+
+    EXPECT_NE(qasm.find("cx q[12],q[13];\n"), std::string::npos) << qasm;
+    EXPECT_NE(qasm.find("qreg q[14];\ncreg c[14];\n"), std::string::npos)
+        << qasm;
+    EXPECT_NE(quil.find("DECLARE ro BIT[14]\n"), std::string::npos) << quil;
+    EXPECT_NE(quil.find("CZ 12 13\n"), std::string::npos) << quil;
+    EXPECT_NE(quil.find("RZ(1234.5) 12\n"), std::string::npos) << quil;
+    EXPECT_NE(umd_asm.find("ions 14\n"), std::string::npos) << umd_asm;
+    EXPECT_NE(umd_asm.find("ms 12 13 1234.5\n"), std::string::npos)
+        << umd_asm;
 }
 
 } // namespace

@@ -1,12 +1,19 @@
 /**
  * @file
  * Unit tests for the common subsystem: angles, RNG, matrices, stats,
- * env helpers, the thread pool and table formatting.
+ * env helpers, the thread pool, table formatting, the flag parser and
+ * the shared number formatter.
  */
 
 #include <atomic>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -22,6 +29,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/text.hh"
 #include "common/thread_pool.hh"
 #include "common/types.hh"
 
@@ -546,6 +554,99 @@ TEST(FlagsDeathTest, HelpPrintsUsageAndExitsZero)
     EXPECT_EXIT(help("--help"), ::testing::ExitedWithCode(0),
                 "usage: prog \\[--reps N\\]");
     EXPECT_EXIT(help("-h"), ::testing::ExitedWithCode(0), "usage: prog");
+}
+
+TEST(Flags, ParseNumberIsExact)
+{
+    EXPECT_EQ(parseNumber<int>("f", "day", "-12"), -12);
+    EXPECT_EQ(parseNumber<uint64_t>("f", "seed", "3735928559"),
+              3735928559ull);
+    EXPECT_EQ(parseNumber<double>("f", "drift", "0.05"), 0.05);
+    for (const char *bad : {"three", "2e3", " 4", "4 ", "+4", "", "1.5"})
+        EXPECT_THROW(parseNumber<int>("f", "day", bad), FatalError) << bad;
+    EXPECT_THROW(parseNumber<uint64_t>("f", "seed", "-1"), FatalError);
+    EXPECT_THROW(parseNumber<double>("f", "drift", "abc"), FatalError);
+    EXPECT_THROW(parseNumber<double>("f", "drift", "inf"), FatalError);
+    try {
+        parseNumber<int>("m.txt:3", "days", "x");
+        ADD_FAILURE() << "accepted 'x'";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "m.txt:3: days needs an integer, got 'x'");
+    }
+}
+
+/** What the shared formatter must equal, byte for byte. */
+std::string
+printfExact(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+TEST(Text, AppendExactMatchesPrintfOnEdgeValues)
+{
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        1e21,
+        1e-5,
+        0.1,
+        1.0,
+        123456789012345678.0,
+    };
+    for (int k = 0; k <= 12; ++k) {
+        values.push_back(std::ldexp(kPi, -k));
+        values.push_back(-std::ldexp(kPi, -k));
+    }
+    for (double v : values) {
+        std::string out = "x";
+        appendExact(out, v);
+        EXPECT_EQ(out, "x" + printfExact(v)) << printfExact(v);
+        EXPECT_EQ(exactText(v), printfExact(v));
+    }
+    EXPECT_EQ(exactText(0.1), "0.10000000000000001");
+}
+
+TEST(Text, AppendExactMatchesPrintfOnRandomBitPatterns)
+{
+    // Every finite bit pattern, plus angles where the emitters spend
+    // their time.
+    std::mt19937_64 gen(20190622);
+    std::uniform_real_distribution<double> angle(-2 * kPi, 2 * kPi);
+    int checked = 0, mismatches = 0;
+    auto check = [&](double v) {
+        std::string want = printfExact(v);
+        if (exactText(v) != want && ++mismatches <= 5)
+            ADD_FAILURE() << std::hexfloat << v << ": got " << exactText(v)
+                          << ", printf wrote " << want;
+    };
+    while (checked < 100000) {
+        uint64_t bits = gen();
+        double v;
+        std::memcpy(&v, &bits, sizeof v);
+        if (!std::isfinite(v))
+            continue;
+        ++checked;
+        check(v);
+        check(angle(gen));
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Text, AppendIntIsPlainDecimal)
+{
+    for (long v : {0L, 7L, -12L, 1234567L, std::numeric_limits<long>::min(),
+                   std::numeric_limits<long>::max()}) {
+        std::string out = "q[";
+        appendInt(out, v);
+        EXPECT_EQ(out, "q[" + std::to_string(v));
+    }
 }
 
 } // namespace

@@ -257,6 +257,39 @@ TEST(CrashReport, LoadRejectsMissingOrEmptyBundles)
     EXPECT_THROW(CrashBundle::load(dir.string()), FatalError);
 }
 
+TEST(CrashReport, LoadRejectsMalformedNumbers)
+{
+    // A hand-edited bundle must not replay with a value it does not
+    // say: atoi read "three" as day 0 and "2e3" as 2 trials.
+    TempDir tmp;
+    struct Case
+    {
+        const char *line, *message;
+    } cases[] = {
+        {"day=three", "options.txt line 2: day needs an integer, got "
+                      "'three'"},
+        {"trials=2e3", "options.txt line 2: trials needs an integer, got "
+                       "'2e3'"},
+        {"budget_ms=fast", "budget_ms needs a number, got 'fast'"},
+        {"seed=-1", "seed needs an integer, got '-1'"},
+        {"sim_threads= 4", "sim_threads needs an integer, got ' 4'"},
+    };
+    for (const Case &c : cases) {
+        fs::path dir = tmp.path / "bundle";
+        fs::create_directories(dir);
+        std::ofstream(dir / "options.txt")
+            << "bench=BV4\n" << c.line << "\ndevice=IBMQ5\n";
+        try {
+            CrashBundle::load(dir.string());
+            ADD_FAILURE() << c.line << " loaded";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(CrashReport, DefaultDirNamesThisProcess)
 {
     std::string dir = defaultCrashDir();

@@ -224,6 +224,57 @@ TEST(CalibrationValidateTest, StrictModeRejectsWithStructuredErrors)
     EXPECT_GE(diags.errorCount(), 5);
 }
 
+TEST(CalibrationValidateTest, PoisonedValuesKeepTheirDiagnosticText)
+{
+    // validate() names a value only once it has found it bad; the text
+    // of every diagnostic stays exactly what it was when the names were
+    // built up front.
+    Device dev = deviceByName("IBMQ14");
+    auto texts = [&](ValidateMode mode) {
+        Calibration c = poisonedCalibration(dev);
+        c.durations.twoQ = -1.0;
+        Diagnostics diags("calibration");
+        c.validate(dev.topology(), mode, diags);
+        std::vector<std::string> out;
+        for (const Diagnostic &d : diags.all())
+            out.push_back(d.str());
+        return out;
+    };
+    EXPECT_EQ(
+        texts(ValidateMode::Sanitize),
+        (std::vector<std::string>{
+            "calibration: warning: err1q[0] is not finite; clamped to "
+            "0.500000 [calib.nan-error-rate]",
+            "calibration: warning: err1q[1] = -0.250000 outside [0, 1); "
+            "clamped to 0.000000 [calib.error-rate-out-of-range]",
+            "calibration: warning: errRO[0] = 17.000000 outside [0, 1); "
+            "clamped to 0.999999 [calib.error-rate-out-of-range]",
+            "calibration: warning: err2q[0] is not finite; clamped to "
+            "0.500000 [calib.nan-error-rate]",
+            "calibration: warning: t2us[0] = 0.000000 must be positive; "
+            "replaced with 1.000000 [calib.nonpositive-duration]",
+            "calibration: warning: durations.twoQ = -1.000000 must be "
+            "positive; replaced with 0.300000 "
+            "[calib.nonpositive-duration]",
+        }));
+    EXPECT_EQ(
+        texts(ValidateMode::Strict),
+        (std::vector<std::string>{
+            "calibration: error: err1q[0] is not finite "
+            "[calib.nan-error-rate]",
+            "calibration: error: err1q[1] = -0.250000 outside [0, 1) "
+            "[calib.error-rate-out-of-range]",
+            "calibration: error: errRO[0] = 17.000000 outside [0, 1) "
+            "[calib.error-rate-out-of-range]",
+            "calibration: error: err2q[0] is not finite "
+            "[calib.nan-error-rate]",
+            "calibration: error: t2us[0] = 0.000000 must be positive "
+            "[calib.nonpositive-duration]",
+            "calibration: error: durations.twoQ = -1.000000 must be "
+            "positive [calib.nonpositive-duration]",
+        }));
+}
+
 TEST(CalibrationValidateTest, CleanCalibrationPassesBothModes)
 {
     Device dev = deviceByName("IBMQ14");

@@ -1027,4 +1027,37 @@ TEST(SweepJournalCli, KilledSweepResumesByteIdentical)
     EXPECT_EQ(slurpFile(resumed_json), full_matrix);
 }
 
+TEST(SweepManifestCli, MalformedNumbersExitOneNamingTheLine)
+{
+    // "days x" used to abort through an uncaught std::stoi (exit 134);
+    // "threads x" and "drift abc" were dropped and the run exited 0.
+    JournalDir dir;
+    struct Case
+    {
+        const char *directive, *message;
+    } cases[] = {
+        {"days x", ":3: days needs an integer, got 'x'"},
+        {"days 0..x", ":3: days needs an integer, got 'x'"},
+        {"threads x", ":3: threads needs an integer, got 'x'"},
+        {"drift abc", ":3: drift needs a number, got 'abc'"},
+        {"budget_ms", ":3: budget_ms needs a value"},
+    };
+    for (const Case &c : cases) {
+        fs::path manifest = dir.path / "grid.txt";
+        std::ofstream(manifest)
+            << "program BV4\ndevice IBMQ5\n" << c.directive << "\n";
+        fs::path err = dir.path / "err.txt";
+        int status = std::system((std::string(TRIQ_SWEEP_PATH) +
+                                  " --manifest " + manifest.string() +
+                                  " -o /dev/null 2> " + err.string())
+                                     .c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << c.directive;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << c.directive;
+        std::string text = slurpFile(err);
+        EXPECT_NE(text.find(manifest.string() + c.message),
+                  std::string::npos)
+            << c.directive << ": " << text;
+    }
+}
+
 #endif // TRIQ_SWEEP_PATH

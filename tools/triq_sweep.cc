@@ -32,6 +32,10 @@
  *                            # failing cells become "error" entries and
  *                            # the tool exits 1 with the partial matrix
  *
+ * A directive's number must be exactly a number ("threads x",
+ * "days 0..x" and "drift abc" are errors naming file:line and the
+ * directive; the tool exits 1).
+ *
  * Env knobs (flags/manifest win): TRIQ_SWEEP_THREADS, TRIQ_CACHE,
  * TRIQ_SWEEP_DRIFT.
  */
@@ -39,6 +43,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/diagnostics.hh"
 #include "common/flags.hh"
@@ -104,22 +109,24 @@ deviceByName(const std::string &name)
           "' (see triqc --list-devices)");
 }
 
-/** Parse "0..6" or a single integer into `out`. */
+/** Parse "0..6" ranges and single integers into `out`; `where` is the
+ *  manifest's "triq-sweep: file:line" for error messages. */
 void
-parseDays(std::istringstream &rest, std::vector<int> &out)
+parseDays(std::istringstream &rest, std::vector<int> &out,
+          const std::string &where)
 {
     std::string tok;
     while (rest >> tok) {
         auto dots = tok.find("..");
         if (dots != std::string::npos) {
-            int lo = std::stoi(tok.substr(0, dots));
-            int hi = std::stoi(tok.substr(dots + 2));
+            int lo = parseNumber<int>(where, "days", tok.substr(0, dots));
+            int hi = parseNumber<int>(where, "days", tok.substr(dots + 2));
             if (hi < lo)
-                fatal("triq-sweep: bad day range '", tok, "'");
+                fatal(where, ": bad day range '", tok, "'");
             for (int d = lo; d <= hi; ++d)
                 out.push_back(d);
         } else {
-            out.push_back(std::stoi(tok));
+            out.push_back(parseNumber<int>(where, "days", tok));
         }
     }
 }
@@ -143,6 +150,16 @@ loadManifest(const std::string &path)
         std::string key;
         if (!(ls >> key))
             continue;
+        const std::string where =
+            "triq-sweep: " + path + ":" + std::to_string(lineno);
+        // The directive's one value, which must be a number of dst's
+        // type: "threads x" is an error, not the default.
+        auto number = [&](auto &dst) {
+            std::string tok;
+            if (!(ls >> tok))
+                fatal(where, ": ", key, " needs a value");
+            dst = parseNumber<std::decay_t<decltype(dst)>>(where, key, tok);
+        };
         if (key == "program") {
             std::string val;
             while (ls >> val) {
@@ -166,7 +183,7 @@ loadManifest(const std::string &path)
                     cfg.devices.push_back(deviceByName(val));
             }
         } else if (key == "days") {
-            parseDays(ls, cfg.days);
+            parseDays(ls, cfg.days, where);
         } else if (key == "level") {
             std::string val;
             while (ls >> val) {
@@ -179,24 +196,23 @@ loadManifest(const std::string &path)
                     cfg.levels.push_back(parseLevel(val));
             }
         } else if (key == "drift") {
-            ls >> cfg.driftThreshold;
+            number(cfg.driftThreshold);
         } else if (key == "journal") {
             ls >> cfg.journalPath;
         } else if (key == "threads") {
-            ls >> cfg.threads;
+            number(cfg.threads);
         } else if (key == "budget_ms") {
-            ls >> budget_ms;
+            number(budget_ms);
         } else if (key == "cache") {
-            int v = 1;
-            ls >> v;
+            int v = 0;
+            number(v);
             cfg.useCache = v != 0;
         } else if (key == "strict_calibration") {
-            int v = 1;
-            ls >> v;
+            int v = 0;
+            number(v);
             cfg.options.strictCalibration = v != 0;
         } else {
-            fatal("triq-sweep: ", path, ":", lineno,
-                  ": unknown directive '", key, "'");
+            fatal(where, ": unknown directive '", key, "'");
         }
     }
     if (budget_ms > 0.0)
