@@ -44,6 +44,12 @@
  * anytime dominance is a theorem), or two engines both proved
  * optimality at different values. Exit 0 otherwise.
  *
+ * Each exact engine also reports `<engine>_ns_per_node` (its min wall
+ * time over its node count): the cost of one search node, for reading
+ * a per-node speedup at equal node counts. It is informational, not
+ * gated: wall time on a shared host swings far more than a gate at
+ * that noise floor could tolerate.
+ *
  * Usage:
  *   micro_mapper [--budget N] [--reps N] [--node-floor N] [--json FILE]
  */
@@ -111,7 +117,9 @@ emitEngine(JsonWriter &json, const std::string &prefix,
     json.key(prefix + "_nodes").value(s.nodes)
         .key(prefix + "_optimal").value(s.optimal)
         .key(prefix + "_value").value(s.value)
-        .key(prefix + "_ms").value(s.ms);
+        .key(prefix + "_ms").value(s.ms)
+        .key(prefix + "_ns_per_node")
+        .value(bench::ratio(s.ms * 1e6, static_cast<double>(s.nodes)));
     if (with_prunes)
         json.key(prefix + "_bound_pruned").value(s.boundPruned)
             .key(prefix + "_symmetry_pruned").value(s.symmetryPruned)

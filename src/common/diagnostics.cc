@@ -1,9 +1,8 @@
 #include "common/diagnostics.hh"
 
-#include <sstream>
-
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace triq
 {
@@ -25,20 +24,24 @@ diagSeverityName(DiagSeverity s)
 std::string
 Diagnostic::str() const
 {
-    std::ostringstream os;
-    if (!origin.empty())
-        os << origin << ":";
+    // Line and column go through appendInt: a stream would follow the
+    // global locale and could write "1'204:".
+    std::string out = origin.empty() ? "" : origin + ":";
     if (span.line > 0) {
-        os << span.line << ":";
-        if (span.col > 0)
-            os << span.col << ":";
+        appendInt(out, span.line);
+        out += ':';
+        if (span.col > 0) {
+            appendInt(out, span.col);
+            out += ':';
+        }
     }
-    if (os.tellp() > 0)
-        os << " ";
-    os << diagSeverityName(severity) << ": " << message;
+    if (!out.empty())
+        out += ' ';
+    out += diagSeverityName(severity);
+    out += ": " + message;
     if (!code.empty())
-        os << " [" << code << "]";
-    return os.str();
+        out += " [" + code + "]";
+    return out;
 }
 
 void
@@ -102,13 +105,15 @@ Diagnostics::merge(const Diagnostics &other)
 std::string
 Diagnostics::text() const
 {
-    std::ostringstream os;
+    std::string out;
     for (const auto &d : diags_)
-        os << d.str() << "\n";
-    if (truncated_)
-        os << "(further errors suppressed: " << errorCount_
-           << " total)\n";
-    return os.str();
+        out += d.str() + "\n";
+    if (truncated_) {
+        out += "(further errors suppressed: ";
+        appendInt(out, errorCount_);
+        out += " total)\n";
+    }
+    return out;
 }
 
 std::string

@@ -23,6 +23,14 @@ appendInt(std::string &out, long v)
     out.append(buf, res.ptr);
 }
 
+void
+appendUint(std::string &out, unsigned long long v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
+
 std::string
 exactText(double v)
 {

@@ -27,6 +27,9 @@ void appendExact(std::string &out, double v);
 /** Append `v` to `out` in plain decimal ("-12", no grouping). */
 void appendInt(std::string &out, long v);
 
+/** appendInt for unsigned 64-bit values (seeds, hashes). */
+void appendUint(std::string &out, unsigned long long v);
+
 /** `v` as appendExact writes it. */
 std::string exactText(double v);
 

@@ -10,6 +10,7 @@
 
 #include "common/flags.hh"
 #include "common/logging.hh"
+#include "common/text.hh"
 
 #ifdef _WIN32
 #include <process.h>
@@ -67,28 +68,47 @@ CrashBundle::write(const std::string &dir) const
     if (ec)
         fatal("crash report: cannot create '", dir, "': ", ec.message());
 
-    std::ostringstream opts;
-    opts.precision(17);
-    opts << "bench=" << benchName << "\n"
-         << "qasm=" << (qasm ? 1 : 0) << "\n"
-         << "device=" << device << "\n"
-         << "day=" << day << "\n"
-         << "level=" << level << "\n"
-         << "mapper=" << mapper << "\n"
-         << "peephole=" << (peephole ? 1 : 0) << "\n"
-         << "strict_calibration=" << (strictCalibration ? 1 : 0) << "\n"
-         << "budget_ms=" << budgetMs << "\n"
-         << "node_budget=" << nodeBudget << "\n"
-         << "seed=" << seed << "\n"
-         << "trials=" << trials << "\n"
-         << "sim_threads=" << simThreads << "\n";
+    // Numbers go through common/text, not a stream: under a grouping
+    // global locale a stream would write "day=1'2", which load() (and
+    // parseNumber) rejects.
+    std::string opts;
+    auto text = [&opts](const char *key, const std::string &v) {
+        opts += key;
+        opts += '=';
+        opts += v;
+        opts += '\n';
+    };
+    auto integer = [&opts](const char *key, long v) {
+        opts += key;
+        opts += '=';
+        appendInt(opts, v);
+        opts += '\n';
+    };
+    text("bench", benchName);
+    integer("qasm", qasm ? 1 : 0);
+    text("device", device);
+    integer("day", day);
+    text("level", level);
+    text("mapper", mapper);
+    integer("peephole", peephole ? 1 : 0);
+    integer("strict_calibration", strictCalibration ? 1 : 0);
+    opts += "budget_ms=";
+    appendExact(opts, budgetMs);
+    opts += '\n';
+    integer("node_budget", nodeBudget);
+    opts += "seed=";
+    appendUint(opts, seed);
+    opts += '\n';
+    integer("trials", trials);
+    integer("sim_threads", simThreads);
     if (!requestId.empty())
-        opts << "request_id=" << requestId << "\n";
-    if (!schedMode.empty())
-        opts << "sched_mode=" << schedMode << "\n"
-             << "sched_threads=" << schedThreads << "\n"
-             << "sched_items_per_task=" << schedItemsPerTask << "\n";
-    writeFile(fs::path(dir) / kOptionsFile, opts.str());
+        text("request_id", requestId);
+    if (!schedMode.empty()) {
+        text("sched_mode", schedMode);
+        integer("sched_threads", schedThreads);
+        integer("sched_items_per_task", schedItemsPerTask);
+    }
+    writeFile(fs::path(dir) / kOptionsFile, opts);
 
     if (!envKnobs.empty()) {
         std::ostringstream env;

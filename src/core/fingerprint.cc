@@ -1,8 +1,8 @@
 #include "core/fingerprint.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/text.hh"
@@ -225,54 +225,84 @@ fingerprintCompile(const Circuit &lowered, const Device &dev,
 std::string
 canonicalCompileResultText(const CompileResult &res, bool include_timings)
 {
-    std::ostringstream os;
-    os << "circuit " << res.hwCircuit.numQubits() << " "
-       << res.hwCircuit.numGates() << "\n";
+    // Built with common/text rather than a stream, so the global locale
+    // cannot group digits ("q1'2") and move the digest.
+    std::string out = "circuit ";
+    auto line = [&out](const char *key, long v) {
+        out += key;
+        out += ' ';
+        appendInt(out, v);
+        out += '\n';
+    };
+    appendInt(out, res.hwCircuit.numQubits());
+    out += ' ';
+    appendInt(out, res.hwCircuit.numGates());
+    out += '\n';
     for (const Gate &g : res.hwCircuit.gates()) {
-        os << gateName(g.kind);
-        for (int i = 0; i < g.arity(); ++i)
-            os << " q" << g.qubit(i);
+        out += gateName(g.kind);
+        for (int i = 0; i < g.arity(); ++i) {
+            out += " q";
+            appendInt(out, g.qubit(i));
+        }
         int np = gateNumParams(g.kind);
-        for (int i = 0; i < np; ++i)
-            os << " " << exactText(g.params[i]);
-        os << "\n";
+        for (int i = 0; i < np; ++i) {
+            out += ' ';
+            appendExact(out, g.params[i]);
+        }
+        out += '\n';
     }
-    auto map = [&](const char *label, const std::vector<HwQubit> &m) {
-        os << label;
-        for (HwQubit q : m)
-            os << " " << q;
-        os << "\n";
+    auto map = [&out](const char *label, const std::vector<HwQubit> &m) {
+        out += label;
+        for (HwQubit q : m) {
+            out += ' ';
+            appendInt(out, q);
+        }
+        out += '\n';
     };
     map("initial_map", res.initialMap);
     map("final_map", res.finalMap);
-    os << "swaps " << res.swapCount << "\n"
-       << "pulses1q " << res.stats.pulses1q << "\n"
-       << "virtualZ " << res.stats.virtualZ << "\n"
-       << "twoQ " << res.stats.twoQ << "\n"
-       << "mapper_objective " << exactText(res.mapperObjective) << "\n"
-       << "assembly_bytes " << res.assembly.size() << "\n"
-       << res.assembly;
+    line("swaps", res.swapCount);
+    line("pulses1q", res.stats.pulses1q);
+    line("virtualZ", res.stats.virtualZ);
+    line("twoQ", res.stats.twoQ);
+    out += "mapper_objective ";
+    appendExact(out, res.mapperObjective);
+    out += '\n';
+    line("assembly_bytes", static_cast<long>(res.assembly.size()));
+    out += res.assembly;
     const CompileReport &r = res.report;
-    os << "report.requested_mapper " << r.requestedMapper << "\n"
-       << "report.engine " << r.mapperEngine << "\n"
-       << "report.nodes " << r.mapperNodes << "\n"
-       << "report.optimal " << r.mapperOptimal << "\n"
-       << "report.degraded " << r.degraded << "\n"
-       << "report.deadline_hit " << r.deadlineHit << "\n"
-       << "report.calibration_repairs " << r.calibrationRepairs << "\n";
+    out += "report.requested_mapper " + r.requestedMapper + "\n";
+    out += "report.engine " + r.mapperEngine + "\n";
+    line("report.nodes", r.mapperNodes);
+    line("report.optimal", r.mapperOptimal);
+    line("report.degraded", r.degraded);
+    line("report.deadline_hit", r.deadlineHit);
+    line("report.calibration_repairs", r.calibrationRepairs);
     for (const auto &d : r.degradations)
-        os << "report.degradation " << d << "\n";
+        out += "report.degradation " + d + "\n";
+    // Timings keep an ostream's default "%g" form (6 significant
+    // digits); they are for human diffing only.
+    auto timing = [&out](double ms) {
+        char buf[32];
+        auto end = std::to_chars(buf, buf + sizeof buf, ms,
+                                 std::chars_format::general, 6);
+        out += ' ';
+        out.append(buf, end.ptr);
+    };
     for (const auto &p : r.passes) {
-        os << "report.pass " << p.pass;
+        out += "report.pass " + p.pass;
         if (include_timings)
-            os << " " << p.ms;
-        os << "\n";
+            timing(p.ms);
+        out += '\n';
     }
     for (const Diagnostic &d : r.calibrationDiags.all())
-        os << "report.diag " << d.str() << "\n";
-    if (include_timings)
-        os << "compile_ms " << res.compileMs << "\n";
-    return os.str();
+        out += "report.diag " + d.str() + "\n";
+    if (include_timings) {
+        out += "compile_ms";
+        timing(res.compileMs);
+        out += '\n';
+    }
+    return out;
 }
 
 uint64_t

@@ -97,6 +97,109 @@ pairScore(const ReliabilityMatrix &rel, HwQubit a, HwQubit b)
     return std::max(rel.pairReliability(a, b), rel.pairReliability(b, a));
 }
 
+/**
+ * The mapper's scoring function tabulated once per mapQubits call:
+ * pair(a, b) == pairScore(rel, a, b) and readout(h) ==
+ * rel.readoutReliability(h), both filled through the checked accessors.
+ * The searches read these flat arrays instead of calling into the
+ * matrix (two range checks and a nested-vector load per access) at
+ * every candidate of every node.
+ */
+class ScoreTable
+{
+  public:
+    explicit ScoreTable(const ReliabilityMatrix &rel)
+        : n_(rel.numQubits()),
+          pair_(static_cast<size_t>(n_) * static_cast<size_t>(n_), 0.0),
+          readout_(static_cast<size_t>(n_))
+    {
+        for (HwQubit a = 0; a < n_; ++a) {
+            readout_[static_cast<size_t>(a)] = rel.readoutReliability(a);
+            for (HwQubit b = 0; b < n_; ++b)
+                if (a != b)
+                    pair_[index(a, b)] = pairScore(rel, a, b);
+        }
+    }
+
+    int numQubits() const { return n_; }
+    double pair(HwQubit a, HwQubit b) const { return pair_[index(a, b)]; }
+    /** h's row: row(h)[x] == pair(h, x); the diagonal entry is 0. */
+    const double *row(HwQubit h) const { return &pair_[index(h, 0)]; }
+    double readout(HwQubit h) const
+    {
+        return readout_[static_cast<size_t>(h)];
+    }
+
+  private:
+    int n_;
+    std::vector<double> pair_;
+    std::vector<double> readout_;
+
+    size_t
+    index(HwQubit a, HwQubit b) const
+    {
+        return static_cast<size_t>(a) * static_cast<size_t>(n_) +
+               static_cast<size_t>(b);
+    }
+};
+
+/** The max-min objective over any pair/readout scorer. */
+template <class PairFn, class ReadoutFn>
+double
+minReliabilityOf(const ProgramInfo &info,
+                 const std::vector<HwQubit> &prog_to_hw, bool include_readout,
+                 PairFn pair, ReadoutFn readout)
+{
+    double m = 1.0;
+    for (const auto &p : info.pairs)
+        m = std::min(m, pair(prog_to_hw[static_cast<size_t>(p.a)],
+                             prog_to_hw[static_cast<size_t>(p.b)]));
+    if (include_readout)
+        for (ProgQubit q : info.measured)
+            m = std::min(m, readout(prog_to_hw[static_cast<size_t>(q)]));
+    return m;
+}
+
+/** The weighted log-product over any pair/readout scorer. */
+template <class PairFn, class ReadoutFn>
+double
+logProductOf(const ProgramInfo &info, const std::vector<HwQubit> &prog_to_hw,
+             bool include_readout, PairFn pair, ReadoutFn readout)
+{
+    double s = 0.0;
+    for (const auto &p : info.pairs) {
+        double r = pair(prog_to_hw[static_cast<size_t>(p.a)],
+                        prog_to_hw[static_cast<size_t>(p.b)]);
+        s += p.weight * std::log(std::max(r, 1e-300));
+    }
+    if (include_readout)
+        for (ProgQubit q : info.measured)
+            s += std::log(std::max(
+                readout(prog_to_hw[static_cast<size_t>(q)]), 1e-300));
+    return s;
+}
+
+double
+tableMinReliability(const ProgramInfo &info, const ScoreTable &tab,
+                    const std::vector<HwQubit> &prog_to_hw,
+                    bool include_readout)
+{
+    return minReliabilityOf(
+        info, prog_to_hw, include_readout,
+        [&](HwQubit a, HwQubit b) { return tab.pair(a, b); },
+        [&](HwQubit h) { return tab.readout(h); });
+}
+
+double
+tableLogProduct(const ProgramInfo &info, const ScoreTable &tab,
+                const std::vector<HwQubit> &prog_to_hw, bool include_readout)
+{
+    return logProductOf(
+        info, prog_to_hw, include_readout,
+        [&](HwQubit a, HwQubit b) { return tab.pair(a, b); },
+        [&](HwQubit h) { return tab.readout(h); });
+}
+
 } // namespace
 
 double
@@ -104,16 +207,10 @@ mappingMinReliability(const ProgramInfo &info, const ReliabilityMatrix &rel,
                       const std::vector<HwQubit> &prog_to_hw,
                       bool include_readout)
 {
-    double m = 1.0;
-    for (const auto &p : info.pairs)
-        m = std::min(m,
-                     pairScore(rel, prog_to_hw[static_cast<size_t>(p.a)],
-                               prog_to_hw[static_cast<size_t>(p.b)]));
-    if (include_readout)
-        for (ProgQubit q : info.measured)
-            m = std::min(m, rel.readoutReliability(
-                                prog_to_hw[static_cast<size_t>(q)]));
-    return m;
+    return minReliabilityOf(
+        info, prog_to_hw, include_readout,
+        [&](HwQubit a, HwQubit b) { return pairScore(rel, a, b); },
+        [&](HwQubit h) { return rel.readoutReliability(h); });
 }
 
 double
@@ -121,18 +218,10 @@ mappingLogProduct(const ProgramInfo &info, const ReliabilityMatrix &rel,
                   const std::vector<HwQubit> &prog_to_hw,
                   bool include_readout)
 {
-    double s = 0.0;
-    for (const auto &p : info.pairs) {
-        double r = pairScore(rel, prog_to_hw[static_cast<size_t>(p.a)],
-                             prog_to_hw[static_cast<size_t>(p.b)]);
-        s += p.weight * std::log(std::max(r, 1e-300));
-    }
-    if (include_readout)
-        for (ProgQubit q : info.measured)
-            s += std::log(std::max(
-                rel.readoutReliability(prog_to_hw[static_cast<size_t>(q)]),
-                1e-300));
-    return s;
+    return logProductOf(
+        info, prog_to_hw, include_readout,
+        [&](HwQubit a, HwQubit b) { return pairScore(rel, a, b); },
+        [&](HwQubit h) { return rel.readoutReliability(h); });
 }
 
 namespace
@@ -207,7 +296,7 @@ placementOrder(const ProgramInfo &info)
 struct SearchContext
 {
     const ProgramInfo &info;
-    const ReliabilityMatrix &rel;
+    const ScoreTable &score;
     bool includeReadout;
     std::vector<ProgQubit> order;
     // For each position k in `order`, the pairs whose *second* endpoint
@@ -215,9 +304,9 @@ struct SearchContext
     std::vector<std::vector<ProgramInfo::Pair>> backPairs;
     std::vector<bool> measuredFlag;
 
-    SearchContext(const ProgramInfo &i, const ReliabilityMatrix &r,
+    SearchContext(const ProgramInfo &i, const ScoreTable &s,
                   bool include_ro)
-        : info(i), rel(r), includeReadout(include_ro),
+        : info(i), score(s), includeReadout(include_ro),
           order(placementOrder(i)),
           backPairs(order.size()),
           measuredFlag(static_cast<size_t>(i.numProgQubits), false)
@@ -248,10 +337,10 @@ struct SearchContext
         for (const auto &p : backPairs[k]) {
             ProgQubit other = p.a == q ? p.b : p.a;
             HwQubit oh = map[static_cast<size_t>(other)];
-            m = std::min(m, pairScore(rel, oh, h));
+            m = std::min(m, score.pair(oh, h));
         }
         if (includeReadout && measuredFlag[static_cast<size_t>(q)])
-            m = std::min(m, rel.readoutReliability(h));
+            m = std::min(m, score.readout(h));
         return m;
     }
 };
@@ -276,10 +365,10 @@ finishMapping(const ProgramInfo &info, const ReliabilityMatrix &rel,
 std::vector<HwQubit>
 greedyPlace(const SearchContext &ctx)
 {
-    const int m = ctx.rel.numQubits();
+    const int m = ctx.score.numQubits();
     std::vector<HwQubit> map(static_cast<size_t>(ctx.info.numProgQubits),
                              -1);
-    std::vector<bool> used(static_cast<size_t>(m), false);
+    std::vector<uint8_t> used(static_cast<size_t>(m), 0);
     for (size_t k = 0; k < ctx.order.size(); ++k) {
         HwQubit best = -1;
         double best_score = -1.0;
@@ -289,7 +378,7 @@ greedyPlace(const SearchContext &ctx)
                 continue;
             double score = ctx.placementScore(k, h, map);
             // Tie-break: prefer reliable readout neighborhoods.
-            double tie = ctx.rel.readoutReliability(h);
+            double tie = ctx.score.readout(h);
             if (score > best_score + 1e-15 ||
                 (score > best_score - 1e-15 && tie > best_tie)) {
                 best = h;
@@ -298,7 +387,7 @@ greedyPlace(const SearchContext &ctx)
             }
         }
         map[static_cast<size_t>(ctx.order[k])] = best;
-        used[static_cast<size_t>(best)] = true;
+        used[static_cast<size_t>(best)] = 1;
     }
     return map;
 }
@@ -311,16 +400,15 @@ greedyPlace(const SearchContext &ctx)
  * climb converged (the map still holds the best placement reached).
  */
 bool
-localSearch(const ProgramInfo &info, const ReliabilityMatrix &rel,
+localSearch(const ProgramInfo &info, const ScoreTable &tab,
             bool include_ro, MappingObjective objective,
-            std::vector<HwQubit> &map,
-            const CompileBudget &budget = CompileBudget())
+            std::vector<HwQubit> &map, const CompileBudget &budget)
 {
-    const int mhw = rel.numQubits();
+    const int mhw = tab.numQubits();
     const int n = info.numProgQubits;
     auto score = [&](const std::vector<HwQubit> &mp) {
-        double mn = mappingMinReliability(info, rel, mp, include_ro);
-        double lp = mappingLogProduct(info, rel, mp, include_ro);
+        double mn = tableMinReliability(info, tab, mp, include_ro);
+        double lp = tableLogProduct(info, tab, mp, include_ro);
         return objective == MappingObjective::MaxMin
                    ? std::pair<double, double>(mn, lp)
                    : std::pair<double, double>(lp, mn);
@@ -459,6 +547,7 @@ struct PruneTables
     bool useBound = false;
     bool useSymmetry = false;
     bool useDominance = false;
+    int numHw = 0;
 
     std::vector<double> rowMax, logRowMax, ro, logRo;
     // Per hardware qubit: every other qubit with its symmetric pair
@@ -479,7 +568,20 @@ struct PruneTables
     size_t firstIsolated = 0;
     std::vector<int> hwClass;
     int numClasses = 0;
-    std::vector<std::vector<uint8_t>> domGE;
+    // domGE[h2 * m + h1]: see the dominance note above.
+    std::vector<uint8_t> domGE;
+
+    /** True when an already-expanded sibling dominates h2's row. */
+    bool
+    dominatedBy(HwQubit h2, const std::vector<HwQubit> &expanded) const
+    {
+        const uint8_t *ge = &domGE[static_cast<size_t>(h2) *
+                                   static_cast<size_t>(numHw)];
+        for (HwQubit h1 : expanded)
+            if (ge[h1])
+                return true;
+        return false;
+    }
 
     bool
     hasForward(size_t k) const
@@ -504,7 +606,7 @@ struct PruneTables
      * cannot exceed this.
      */
     double
-    kthBestFree(HwQubit h, int f, const std::vector<bool> &used) const
+    kthBestFree(HwQubit h, int f, const std::vector<uint8_t> &used) const
     {
         int seen = 0;
         for (const auto &[score, x] : partnerScore[static_cast<size_t>(h)]) {
@@ -518,14 +620,16 @@ struct PruneTables
 };
 
 PruneTables
-buildPruneTables(const SearchContext &ctx, bool use_bound,
-                 bool use_symmetry, bool use_dominance)
+buildPruneTables(const SearchContext &ctx, const ReliabilityMatrix &rel,
+                 bool use_bound, bool use_symmetry, bool use_dominance)
 {
     PruneTables t;
     t.useBound = use_bound;
     t.useSymmetry = use_symmetry;
     t.useDominance = use_dominance;
-    const int mhw = ctx.rel.numQubits();
+    const ScoreTable &score = ctx.score;
+    const int mhw = score.numQubits();
+    t.numHw = mhw;
     const size_t n = ctx.order.size();
 
     t.rowMax.resize(static_cast<size_t>(mhw));
@@ -533,10 +637,10 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
     t.ro.resize(static_cast<size_t>(mhw));
     t.logRo.resize(static_cast<size_t>(mhw));
     for (HwQubit h = 0; h < mhw; ++h) {
-        t.rowMax[static_cast<size_t>(h)] = ctx.rel.bestPairReliability(h);
+        t.rowMax[static_cast<size_t>(h)] = rel.bestPairReliability(h);
         t.logRowMax[static_cast<size_t>(h)] =
             std::log(std::max(t.rowMax[static_cast<size_t>(h)], 1e-300));
-        t.ro[static_cast<size_t>(h)] = ctx.rel.readoutReliability(h);
+        t.ro[static_cast<size_t>(h)] = score.readout(h);
         t.logRo[static_cast<size_t>(h)] =
             std::log(std::max(t.ro[static_cast<size_t>(h)], 1e-300));
     }
@@ -568,9 +672,10 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
         for (HwQubit h = 0; h < mhw; ++h) {
             auto &row = t.partnerScore[static_cast<size_t>(h)];
             row.reserve(static_cast<size_t>(mhw - 1));
+            const double *scores = score.row(h);
             for (HwQubit x = 0; x < mhw; ++x)
                 if (x != h)
-                    row.push_back({pairScore(ctx.rel, h, x), x});
+                    row.push_back({scores[x], x});
             std::sort(row.begin(), row.end(),
                       [](const auto &a, const auto &b) {
                           if (a.first != b.first)
@@ -614,15 +719,16 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
     }
 
     if (use_symmetry) {
-        t.hwClass = ctx.rel.equivalenceClasses();
+        t.hwClass = rel.equivalenceClasses();
         for (int c : t.hwClass)
             t.numClasses = std::max(t.numClasses, c + 1);
     }
 
     if (use_dominance) {
-        t.domGE.assign(static_cast<size_t>(mhw),
-                       std::vector<uint8_t>(static_cast<size_t>(mhw), 0));
-        for (HwQubit h2 = 0; h2 < mhw; ++h2)
+        t.domGE.assign(static_cast<size_t>(mhw) * static_cast<size_t>(mhw),
+                       0);
+        for (HwQubit h2 = 0; h2 < mhw; ++h2) {
+            const double *row2 = score.row(h2);
             for (HwQubit h1 = 0; h1 < mhw; ++h1) {
                 if (h1 == h2)
                     continue;
@@ -630,52 +736,108 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
                     t.ro[static_cast<size_t>(h2)] <
                         t.ro[static_cast<size_t>(h1)])
                     continue;
+                const double *row1 = score.row(h1);
                 bool ge = true;
                 for (HwQubit x = 0; x < mhw && ge; ++x) {
                     if (x == h1 || x == h2)
                         continue;
-                    ge = pairScore(ctx.rel, h2, x) >=
-                         pairScore(ctx.rel, h1, x);
+                    ge = row2[x] >= row1[x];
                 }
-                t.domGE[static_cast<size_t>(h2)][static_cast<size_t>(h1)] =
-                    ge ? 1 : 0;
+                t.domGE[static_cast<size_t>(h2) * static_cast<size_t>(mhw) +
+                        static_cast<size_t>(h1)] = ge ? 1 : 0;
             }
+        }
     }
     return t;
 }
 
 /**
- * The free hardware qubits sorted best-readout-first (ties by index):
- * the assignment order used by the exact isolated-suffix closure.
+ * Fill `free_hw` with the free hardware qubits sorted best-readout-first
+ * (ties by index): the assignment order used by the exact
+ * isolated-suffix closure.
  */
-std::vector<HwQubit>
-freeByReadout(const SearchContext &ctx, const std::vector<bool> &used)
+void
+freeByReadout(const ScoreTable &score, const std::vector<uint8_t> &used,
+              std::vector<HwQubit> &free_hw)
 {
-    std::vector<HwQubit> free_hw;
-    for (HwQubit h = 0; h < ctx.rel.numQubits(); ++h)
+    free_hw.clear();
+    for (HwQubit h = 0; h < score.numQubits(); ++h)
         if (!used[static_cast<size_t>(h)])
             free_hw.push_back(h);
     std::sort(free_hw.begin(), free_hw.end(),
               [&](HwQubit a, HwQubit b) {
-                  double ra = ctx.rel.readoutReliability(a);
-                  double rb = ctx.rel.readoutReliability(b);
+                  double ra = score.readout(a);
+                  double rb = score.readout(b);
                   if (ra != rb)
                       return ra > rb;
                   return a < b;
               });
-    return free_hw;
 }
+
+/**
+ * Per-search scratch, sized once so that expanding a node allocates
+ * nothing: byte `used` flags, the candidate and expanded-sibling lists
+ * indexed by depth (a node's lists stay live while its children use
+ * theirs), the symmetry scan's class stamps (a class is seen in the
+ * current scan iff its stamp equals `stamp`, so starting a scan is one
+ * increment instead of a clear), and the isolated-suffix closure's
+ * free-site list.
+ */
+template <class Cand>
+struct SearchScratch
+{
+    std::vector<uint8_t> used;
+    std::vector<std::vector<Cand>> cands;
+    std::vector<std::vector<HwQubit>> expanded;
+    std::vector<uint64_t> classStamp;
+    uint64_t stamp = 0;
+    std::vector<HwQubit> freeHw;
+
+    SearchScratch(const PruneTables &tab, size_t depth, int mhw)
+        : used(static_cast<size_t>(mhw), 0), cands(depth),
+          expanded(depth),
+          classStamp(static_cast<size_t>(tab.numClasses), 0)
+    {
+        for (size_t k = 0; k < depth; ++k) {
+            cands[k].reserve(static_cast<size_t>(mhw));
+            expanded[k].reserve(static_cast<size_t>(mhw));
+        }
+        freeHw.reserve(static_cast<size_t>(mhw));
+    }
+
+    /** Start a candidate scan: every class becomes unseen. */
+    void newScan() { ++stamp; }
+
+    /** True the first time class `c` is met in the current scan. */
+    bool
+    firstOfClass(int c)
+    {
+        uint64_t &s = classStamp[static_cast<size_t>(c)];
+        if (s == stamp)
+            return false;
+        s = stamp;
+        return true;
+    }
+};
 
 /** Exact max-min search with incumbent + admissible-bound pruning. */
 struct BnbSearch
 {
+    struct Cand
+    {
+        double nm;  // objective prefix after this placement
+        double ub;  // admissible bound on any completion below it
+        double cap; // this site's own forward-degree cap
+        HwQubit h;
+    };
+
     const SearchContext &ctx;
     const PruneTables &tab;
     SearchCore core;
     double bestMin;
     std::vector<HwQubit> bestMap;
     std::vector<HwQubit> map;
-    std::vector<bool> used;
+    SearchScratch<Cand> scratch;
 
     BnbSearch(const SearchContext &c, const PruneTables &t,
               long node_budget, const CompileBudget &clk,
@@ -683,7 +845,7 @@ struct BnbSearch
         : ctx(c), tab(t), core(node_budget, clk), bestMin(incumbent),
           bestMap(std::move(incumbent_map)),
           map(static_cast<size_t>(c.info.numProgQubits), -1),
-          used(static_cast<size_t>(c.rel.numQubits()), false)
+          scratch(t, c.order.size(), c.score.numQubits())
     {
     }
 
@@ -695,7 +857,8 @@ struct BnbSearch
     void
     closeIsolatedSuffix(size_t k, double cur_min)
     {
-        std::vector<HwQubit> free_hw = freeByReadout(ctx, used);
+        std::vector<HwQubit> &free_hw = scratch.freeHw;
+        freeByReadout(ctx.score, scratch.used, free_hw);
         size_t r = 0;
         for (size_t j = k; j < ctx.order.size(); ++j)
             if (ctx.includeReadout &&
@@ -703,8 +866,7 @@ struct BnbSearch
                 ++r;
         double value = cur_min;
         if (r > 0)
-            value = std::min(value, ctx.rel.readoutReliability(
-                                        free_hw[r - 1]));
+            value = std::min(value, ctx.score.readout(free_hw[r - 1]));
         if (value <= bestMin + 1e-15)
             return;
         size_t mi = 0, oi = r;
@@ -745,6 +907,7 @@ struct BnbSearch
             return;
         }
         ProgQubit q = ctx.order[k];
+        std::vector<uint8_t> &used = scratch.used;
         // Node-constant bound: the unplaced-suffix cap and the prefix's
         // inherited degree caps.
         const double static_cap =
@@ -753,28 +916,16 @@ struct BnbSearch
         const int fdeg = tab.fwdDeg[k];
         const bool fwd = tab.hasForward(k);
         // Order candidates by score so good branches are explored first.
-        struct Cand
-        {
-            double nm;  // objective prefix after this placement
-            double ub;  // admissible bound on any completion below it
-            double cap; // this site's own forward-degree cap
-            HwQubit h;
-        };
-        std::vector<Cand> cands;
-        std::vector<uint8_t> class_seen;
-        if (tab.useSymmetry)
-            class_seen.assign(static_cast<size_t>(tab.numClasses), 0);
-        for (HwQubit h = 0; h < ctx.rel.numQubits(); ++h) {
+        std::vector<Cand> &cands = scratch.cands[k];
+        cands.clear();
+        scratch.newScan();
+        for (HwQubit h = 0; h < ctx.score.numQubits(); ++h) {
             if (used[static_cast<size_t>(h)])
                 continue;
-            if (tab.useSymmetry) {
-                uint8_t &seen = class_seen[static_cast<size_t>(
-                    tab.hwClass[static_cast<size_t>(h)])];
-                if (seen) {
-                    ++core.symmetryPruned;
-                    continue;
-                }
-                seen = 1;
+            if (tab.useSymmetry &&
+                !scratch.firstOfClass(tab.hwClass[static_cast<size_t>(h)])) {
+                ++core.symmetryPruned;
+                continue;
             }
             double s = ctx.placementScore(k, h, map);
             double nm = std::min(cur_min, s);
@@ -792,34 +943,30 @@ struct BnbSearch
             else
                 ++core.boundPruned;
         }
+        // std::sort, not a stable sort: equal-score candidates come out
+        // in std::sort's order, and that order fixes which nodes the
+        // search expands.
         std::sort(cands.begin(), cands.end(),
                   [](const Cand &a, const Cand &b) {
                       return a.nm > b.nm;
                   });
-        std::vector<HwQubit> expanded;
+        std::vector<HwQubit> &expanded = scratch.expanded[k];
+        expanded.clear();
         for (const auto &c : cands) {
             if (c.ub <= bestMin + 1e-15) {
                 // Incumbent improved since candidate listing.
                 ++core.boundPruned;
                 continue;
             }
-            if (tab.useDominance && !fwd) {
-                bool dominated = false;
-                for (HwQubit h1 : expanded)
-                    if (tab.domGE[static_cast<size_t>(c.h)]
-                                 [static_cast<size_t>(h1)]) {
-                        dominated = true;
-                        break;
-                    }
-                if (dominated) {
-                    ++core.dominancePruned;
-                    continue;
-                }
+            if (tab.useDominance && !fwd &&
+                tab.dominatedBy(c.h, expanded)) {
+                ++core.dominancePruned;
+                continue;
             }
             map[static_cast<size_t>(q)] = c.h;
-            used[static_cast<size_t>(c.h)] = true;
+            used[static_cast<size_t>(c.h)] = 1;
             dfs(k + 1, c.nm, std::min(inherited, c.cap));
-            used[static_cast<size_t>(c.h)] = false;
+            used[static_cast<size_t>(c.h)] = 0;
             map[static_cast<size_t>(q)] = -1;
             if (core.exhausted)
                 return;
@@ -838,32 +985,40 @@ struct BnbSearch
  */
 struct BnbProductSearch
 {
+    struct Cand
+    {
+        double ns;  // objective prefix after this placement
+        double ub;  // admissible bound on any completion below it
+        double pot; // dyn_pot to carry into the child
+        HwQubit h;
+    };
+
     const SearchContext &ctx;
     const PruneTables &tab;
     SearchCore core;
     double bestSum;
     std::vector<HwQubit> bestMap;
     std::vector<HwQubit> map;
-    std::vector<bool> used;
+    SearchScratch<Cand> scratch;
     // Legacy bound: suffixPotential[k] caps the contribution of
     // placements k..end at the device-wide best reliabilities.
     std::vector<double> suffixPotential;
 
     BnbProductSearch(const SearchContext &c, const PruneTables &t,
-                     long node_budget, const CompileBudget &clk,
-                     double incumbent, std::vector<HwQubit> incumbent_map)
+                     const ReliabilityMatrix &rel, long node_budget,
+                     const CompileBudget &clk, double incumbent,
+                     std::vector<HwQubit> incumbent_map)
         : ctx(c), tab(t), core(node_budget, clk), bestSum(incumbent),
           bestMap(std::move(incumbent_map)),
           map(static_cast<size_t>(c.info.numProgQubits), -1),
-          used(static_cast<size_t>(c.rel.numQubits()), false)
+          scratch(t, c.order.size(), c.score.numQubits())
     {
         if (!tab.useBound) {
             double max_pair_log =
-                std::log(std::max(ctx.rel.maxPairReliability(), 1e-300));
+                std::log(std::max(rel.maxPairReliability(), 1e-300));
             double best_ro = 0.0;
-            for (int h = 0; h < ctx.rel.numQubits(); ++h)
-                best_ro =
-                    std::max(best_ro, ctx.rel.readoutReliability(h));
+            for (int h = 0; h < ctx.score.numQubits(); ++h)
+                best_ro = std::max(best_ro, ctx.score.readout(h));
             double max_ro_log = std::log(std::max(best_ro, 1e-300));
             suffixPotential.assign(ctx.order.size() + 1, 0.0);
             for (size_t k = ctx.order.size(); k-- > 0;) {
@@ -888,12 +1043,11 @@ struct BnbProductSearch
             ProgQubit other = p.a == q ? p.b : p.a;
             HwQubit oh = map[static_cast<size_t>(other)];
             s += p.weight *
-                 std::log(std::max(pairScore(ctx.rel, oh, h), 1e-300));
+                 std::log(std::max(ctx.score.pair(oh, h), 1e-300));
         }
         if (ctx.includeReadout &&
             ctx.measuredFlag[static_cast<size_t>(q)])
-            s += std::log(
-                std::max(ctx.rel.readoutReliability(h), 1e-300));
+            s += std::log(std::max(ctx.score.readout(h), 1e-300));
         return s;
     }
 
@@ -920,7 +1074,8 @@ struct BnbProductSearch
     void
     closeIsolatedSuffix(size_t k, double cur_sum)
     {
-        std::vector<HwQubit> free_hw = freeByReadout(ctx, used);
+        std::vector<HwQubit> &free_hw = scratch.freeHw;
+        freeByReadout(ctx.score, scratch.used, free_hw);
         size_t r = 0;
         for (size_t j = k; j < ctx.order.size(); ++j)
             if (ctx.includeReadout &&
@@ -928,8 +1083,8 @@ struct BnbProductSearch
                 ++r;
         double value = cur_sum;
         for (size_t i = 0; i < r; ++i)
-            value += std::log(std::max(
-                ctx.rel.readoutReliability(free_hw[i]), 1e-300));
+            value += std::log(std::max(ctx.score.readout(free_hw[i]),
+                                       1e-300));
         if (value <= bestSum + 1e-12)
             return;
         size_t mi = 0, oi = r;
@@ -968,30 +1123,19 @@ struct BnbProductSearch
             closeIsolatedSuffix(k, cur_sum);
             return;
         }
+        std::vector<uint8_t> &used = scratch.used;
         const double back_adj = tab.useBound ? backAdjust(k) : 0.0;
         const bool fwd = tab.hasForward(k);
-        struct Cand
-        {
-            double ns;  // objective prefix after this placement
-            double ub;  // admissible bound on any completion below it
-            double pot; // dyn_pot to carry into the child
-            HwQubit h;
-        };
-        std::vector<Cand> cands;
-        std::vector<uint8_t> class_seen;
-        if (tab.useSymmetry)
-            class_seen.assign(static_cast<size_t>(tab.numClasses), 0);
-        for (HwQubit h = 0; h < ctx.rel.numQubits(); ++h) {
+        std::vector<Cand> &cands = scratch.cands[k];
+        cands.clear();
+        scratch.newScan();
+        for (HwQubit h = 0; h < ctx.score.numQubits(); ++h) {
             if (used[static_cast<size_t>(h)])
                 continue;
-            if (tab.useSymmetry) {
-                uint8_t &seen = class_seen[static_cast<size_t>(
-                    tab.hwClass[static_cast<size_t>(h)])];
-                if (seen) {
-                    ++core.symmetryPruned;
-                    continue;
-                }
-                seen = 1;
+            if (tab.useSymmetry &&
+                !scratch.firstOfClass(tab.hwClass[static_cast<size_t>(h)])) {
+                ++core.symmetryPruned;
+                continue;
             }
             double ns = cur_sum + contribution(k, h);
             double ub;
@@ -1009,34 +1153,28 @@ struct BnbProductSearch
             else
                 ++core.boundPruned;
         }
+        // std::sort on purpose, as in BnbSearch::dfs.
         std::sort(cands.begin(), cands.end(),
                   [](const Cand &a, const Cand &b) {
                       return a.ns > b.ns;
                   });
-        std::vector<HwQubit> expanded;
+        std::vector<HwQubit> &expanded = scratch.expanded[k];
+        expanded.clear();
         for (const auto &c : cands) {
             if (c.ub <= bestSum + 1e-12) {
                 // Incumbent improved since candidate listing.
                 ++core.boundPruned;
                 continue;
             }
-            if (tab.useDominance && !fwd) {
-                bool dominated = false;
-                for (HwQubit h1 : expanded)
-                    if (tab.domGE[static_cast<size_t>(c.h)]
-                                 [static_cast<size_t>(h1)]) {
-                        dominated = true;
-                        break;
-                    }
-                if (dominated) {
-                    ++core.dominancePruned;
-                    continue;
-                }
+            if (tab.useDominance && !fwd &&
+                tab.dominatedBy(c.h, expanded)) {
+                ++core.dominancePruned;
+                continue;
             }
             map[static_cast<size_t>(ctx.order[k])] = c.h;
-            used[static_cast<size_t>(c.h)] = true;
+            used[static_cast<size_t>(c.h)] = 1;
             dfs(k + 1, c.ns, c.pot);
-            used[static_cast<size_t>(c.h)] = false;
+            used[static_cast<size_t>(c.h)] = 0;
             map[static_cast<size_t>(ctx.order[k])] = -1;
             if (core.exhausted)
                 return;
@@ -1072,19 +1210,18 @@ validPlacement(const std::vector<HwQubit> &map, int n_prog, int n_hw)
  * fired during the extra polish.
  */
 bool
-keepBetterSeed(const ProgramInfo &info, const ReliabilityMatrix &rel,
-               const MappingOptions &opts, const SearchContext &ctx,
+keepBetterSeed(const MappingOptions &opts, const SearchContext &ctx,
                std::vector<HwQubit> &seed)
 {
     std::vector<HwQubit> cold = greedyPlace(ctx);
-    bool converged = localSearch(info, rel, opts.includeReadout,
+    bool converged = localSearch(ctx.info, ctx.score, opts.includeReadout,
                                  opts.objective, cold, opts.budget);
     auto value = [&](const std::vector<HwQubit> &m) {
         return opts.objective == MappingObjective::MaxMin
-                   ? mappingMinReliability(info, rel, m,
-                                           opts.includeReadout)
-                   : mappingLogProduct(info, rel, m,
-                                       opts.includeReadout);
+                   ? tableMinReliability(ctx.info, ctx.score, m,
+                                         opts.includeReadout)
+                   : tableLogProduct(ctx.info, ctx.score, m,
+                                     opts.includeReadout);
     };
     if (value(cold) > value(seed))
         seed = std::move(cold);
@@ -1115,6 +1252,13 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
     if (info.numProgQubits == 0)
         return finishMapping(info, rel, {}, opts.includeReadout, true, 0,
                              "trivial");
+    // The searches index the score table unchecked, so a malformed
+    // pair must stop here rather than read outside it.
+    for (const auto &p : info.pairs)
+        if (p.a < 0 || p.b < 0 || p.a >= info.numProgQubits ||
+            p.b >= info.numProgQubits || p.a == p.b)
+            panic("mapQubits: malformed interaction pair (", p.a, ", ",
+                  p.b, ")");
 
     // Warm-start handling is shared by the seeded engines: a valid
     // placement (typically a drift-stale mapping from the compile
@@ -1139,12 +1283,13 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
       case MapperKind::Trivial:
         return trivialMapping(info, rel);
       case MapperKind::Greedy: {
-        SearchContext ctx(info, rel, opts.includeReadout);
+        ScoreTable score(rel);
+        SearchContext ctx(info, score, opts.includeReadout);
         auto map = warm ? opts.warmStart : greedyPlace(ctx);
-        bool converged = localSearch(info, rel, opts.includeReadout,
+        bool converged = localSearch(info, score, opts.includeReadout,
                                      opts.objective, map, opts.budget);
         if (warm && converged)
-            converged = keepBetterSeed(info, rel, opts, ctx, map);
+            converged = keepBetterSeed(opts, ctx, map);
         Mapping m = finishMapping(info, rel, std::move(map),
                                   opts.includeReadout, false, 0,
                                   "greedy");
@@ -1157,12 +1302,13 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
         return m;
       }
       case MapperKind::BranchAndBound: {
-        SearchContext ctx(info, rel, opts.includeReadout);
+        ScoreTable score(rel);
+        SearchContext ctx(info, score, opts.includeReadout);
         auto seed = warm ? opts.warmStart : greedyPlace(ctx);
-        bool converged = localSearch(info, rel, opts.includeReadout,
+        bool converged = localSearch(info, score, opts.includeReadout,
                                      opts.objective, seed, opts.budget);
         if (warm && converged)
-            converged = keepBetterSeed(info, rel, opts, ctx, seed);
+            converged = keepBetterSeed(opts, ctx, seed);
         // The seed is the anytime floor: if the deadline already
         // fired, skip the exact search and return it.
         if (!converged || opts.budget.expired()) {
@@ -1177,8 +1323,8 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
             return m;
         }
         PruneTables tab =
-            buildPruneTables(ctx, opts.useStrongBound, opts.useSymmetry,
-                             opts.useDominance);
+            buildPruneTables(ctx, rel, opts.useStrongBound,
+                             opts.useSymmetry, opts.useDominance);
         auto finish = [&](const SearchCore &core,
                           std::vector<HwQubit> best_map) {
             Mapping m = finishMapping(info, rel, std::move(best_map),
@@ -1201,15 +1347,15 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
             return m;
         };
         if (opts.objective == MappingObjective::Product) {
-            double incumbent = mappingLogProduct(info, rel, seed,
-                                                 opts.includeReadout);
-            BnbProductSearch search(ctx, tab, opts.nodeBudget,
+            double incumbent =
+                tableLogProduct(info, score, seed, opts.includeReadout);
+            BnbProductSearch search(ctx, tab, rel, opts.nodeBudget,
                                     opts.budget, incumbent, seed);
             search.dfs(0, 0.0, 0.0);
             return finish(search.core, search.bestMap);
         }
-        double incumbent = mappingMinReliability(info, rel, seed,
-                                                 opts.includeReadout);
+        double incumbent =
+            tableMinReliability(info, score, seed, opts.includeReadout);
         // Search strictly above the incumbent; the incumbent map is
         // returned when nothing better exists.
         BnbSearch search(ctx, tab, opts.nodeBudget, opts.budget,

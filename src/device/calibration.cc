@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/fault_injector.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/text.hh"
 #include "device/topology.hh"
 
 namespace triq
@@ -68,27 +67,35 @@ void
 Calibration::save(std::ostream &os) const
 {
     // Full round-trip precision: error rates feed reliability products
-    // where tiny differences change mapper decisions.
-    os << std::setprecision(17);
-    os << "calibration v2\n";
-    os << "qubits " << numQubits << "\n";
-    os << "edges " << err2q.size() << "\n";
-    os << "durations " << durations.oneQ << " " << durations.twoQ << " "
-       << durations.readout << "\n";
-    os << "crosstalk " << crosstalkFactor << "\n";
-    os << "err1q";
-    for (double e : err1q)
-        os << " " << e;
-    os << "\nerrRO";
-    for (double e : errRO)
-        os << " " << e;
-    os << "\nt2us";
-    for (double t : t2Us)
-        os << " " << t;
-    os << "\nerr2q";
-    for (double e : err2q)
-        os << " " << e;
-    os << "\n";
+    // where tiny differences change mapper decisions. The text is built
+    // by common/text, so neither the stream's nor the global locale can
+    // group digits or change the decimal point.
+    std::string out = "calibration v2\nqubits ";
+    appendInt(out, numQubits);
+    out += "\nedges ";
+    appendInt(out, static_cast<long>(err2q.size()));
+    out += "\ndurations ";
+    appendExact(out, durations.oneQ);
+    out += ' ';
+    appendExact(out, durations.twoQ);
+    out += ' ';
+    appendExact(out, durations.readout);
+    out += "\ncrosstalk ";
+    appendExact(out, crosstalkFactor);
+    auto list = [&](const char *key, const std::vector<double> &values) {
+        out += '\n';
+        out += key;
+        for (double v : values) {
+            out += ' ';
+            appendExact(out, v);
+        }
+    };
+    list("err1q", err1q);
+    list("errRO", errRO);
+    list("t2us", t2Us);
+    list("err2q", err2q);
+    out += '\n';
+    os << out;
 }
 
 Calibration

@@ -18,13 +18,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <locale>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "core/compiler.hh"
 #include "core/crash_report.hh"
+#include "core/fingerprint.hh"
 #include "device/machines.hh"
 #include "service/server.hh"
+#include "workloads/benchmarks.hh"
 
 using namespace triq;
 namespace fs = std::filesystem;
@@ -288,6 +292,97 @@ TEST(CrashReport, LoadRejectsMalformedNumbers)
                 << e.what();
         }
     }
+}
+
+/** Digit grouping "1'2" for every integer a stream writes. */
+struct GroupingPunct : std::numpunct<char>
+{
+    std::string do_grouping() const override { return "\1"; }
+    char do_thousands_sep() const override { return '\''; }
+};
+
+/**
+ * The text TriQ writes for others to read back: a calibration file, the
+ * canonical compile text behind digests, and a crash bundle's
+ * options.txt.
+ */
+struct WrittenText
+{
+    std::string calibration;
+    std::string compile;
+    uint64_t digest = 0;
+    std::string options;
+};
+
+WrittenText
+writeAll(const fs::path &bundle_dir)
+{
+    WrittenText w;
+    Device dev = makeIbmQ14();
+    Calibration calib = dev.calibrate(0);
+    std::ostringstream cal;
+    calib.save(cal);
+    w.calibration = cal.str();
+
+    CompileResult res = compileForDevice(makeBenchmark("BV8"), dev, calib,
+                                         CompileOptions{});
+    w.compile = canonicalCompileResultText(res);
+    w.digest = compileResultDigest(res);
+
+    CrashBundle b;
+    b.benchName = "BV8";
+    b.device = dev.name();
+    b.day = 1234;
+    b.budgetMs = 12345.5;
+    b.nodeBudget = 2000000;
+    b.seed = 12345678901234567890ull;
+    b.trials = 8192;
+    b.simThreads = 16;
+    b.schedMode = "threaded";
+    b.schedThreads = 12;
+    b.schedItemsPerTask = 1024;
+    b.calibration = calib;
+    b.hasCalibration = true;
+    b.error = "boom";
+    b.write(bundle_dir.string());
+    w.options = slurp(bundle_dir / "options.txt");
+    EXPECT_EQ(slurp(bundle_dir / "calibration.txt"), w.calibration);
+    return w;
+}
+
+TEST(CrashReport, WrittenTextIgnoresGlobalLocale)
+{
+    TempDir tmp;
+    const WrittenText classic = writeAll(tmp.path / "classic");
+    std::ostringstream probe; // the locale really groups stream output
+    WrittenText grouped;
+    {
+        // Restored on every exit, so a failure here cannot leak the
+        // grouping locale into later tests.
+        struct GlobalLocale
+        {
+            std::locale saved = std::locale::global(
+                std::locale(std::locale(), new GroupingPunct));
+            ~GlobalLocale() { std::locale::global(saved); }
+        } scoped;
+        probe.imbue(std::locale());
+        probe << 1234;
+        grouped = writeAll(tmp.path / "grouped");
+    }
+
+    ASSERT_EQ(probe.str(), "1'2'3'4");
+    EXPECT_NE(classic.calibration.find("qubits 14\n"), std::string::npos);
+    EXPECT_NE(classic.options.find("day=1234\n"), std::string::npos);
+    EXPECT_NE(classic.options.find("seed=12345678901234567890\n"),
+              std::string::npos);
+    EXPECT_EQ(grouped.calibration, classic.calibration);
+    EXPECT_EQ(grouped.compile, classic.compile);
+    EXPECT_EQ(grouped.digest, classic.digest);
+    EXPECT_EQ(grouped.options, classic.options);
+    CrashBundle back = CrashBundle::load((tmp.path / "grouped").string());
+    EXPECT_EQ(back.day, 1234);
+    EXPECT_EQ(back.seed, 12345678901234567890ull);
+    EXPECT_EQ(back.calibration.numQubits, 14);
 }
 
 TEST(CrashReport, DefaultDirNamesThisProcess)

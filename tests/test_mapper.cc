@@ -6,8 +6,12 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include "core/mapper.hh"
 #include "device/machines.hh"
 #include "workloads/benchmarks.hh"
+#include "workloads/supremacy.hh"
 
 namespace triq
 {
@@ -296,6 +301,27 @@ TEST(MapperTest, MaxMinPrunesBetterThanProduct)
     EXPECT_LT(mm.nodesExplored, pr.nodesExplored);
 }
 
+TEST(MapperTest, MalformedPairPanics)
+{
+    // The searches index their score table unchecked, so mapQubits
+    // must refuse a pair that names no qubit or the same qubit twice.
+    Device dev = makeIbmQ5();
+    ReliabilityMatrix rel = randomMatrix(dev, 5);
+    for (ProgramInfo::Pair bad : {ProgramInfo::Pair{1, 1, 1},
+                                  ProgramInfo::Pair{0, 3, 1},
+                                  ProgramInfo::Pair{-1, 0, 1}}) {
+        ProgramInfo info;
+        info.numProgQubits = 3;
+        info.pairs = {{0, 1, 2}, bad};
+        for (MapperKind kind : {MapperKind::Greedy,
+                                MapperKind::BranchAndBound}) {
+            MappingOptions opts;
+            opts.kind = kind;
+            EXPECT_THROW(mapQubits(info, rel, opts), PanicError);
+        }
+    }
+}
+
 TEST(MapperTest, KindParsing)
 {
     EXPECT_EQ(mapperKindFromString("trivial"), MapperKind::Trivial);
@@ -565,6 +591,165 @@ TEST(WarmStart, AnytimeUnderExpiredDeadline)
     EXPECT_TRUE(m.warmStarted);
     EXPECT_FALSE(m.optimal);
     EXPECT_EQ(m.progToHw, opts.warmStart);
+}
+
+/**
+ * Search identity. The exact searches are deterministic, so a change
+ * that only makes a node cheaper must expand the same nodes in the same
+ * order: the node count, each pruning counter, the placement and the
+ * objective bits below were recorded once and are pinned exactly. The
+ * supremacy rows are the fig13 ladder (grids on IBMQ14 noise, day 1,
+ * fig13's 200000-node budget); the smaller budgets stop the product and
+ * legacy-bound searches mid-tree, which pins their order as well.
+ */
+struct PinnedSearch
+{
+    const char *name;
+    int rows, cols, depth; // supremacy grid (rows == 0: `bench`)
+    uint64_t seed;
+    const char *bench;  // benchmark program on the study device `device`
+    const char *device;
+    int day; // calibration day; -1: the average calibration
+    MapperKind kind;
+    MappingObjective objective;
+    long nodeBudget;
+    bool planner; // strong bound + symmetry + dominance
+    bool warm;    // warm start from the identity placement
+    // Recorded results.
+    long nodes, boundPruned, symmetryPruned, dominancePruned;
+    const char *progToHw;
+    uint64_t minBits, logBits;
+};
+
+constexpr auto kMaxMin = MappingObjective::MaxMin;
+constexpr auto kProduct = MappingObjective::Product;
+constexpr auto kBnb = MapperKind::BranchAndBound;
+constexpr auto kGreedy = MapperKind::Greedy;
+
+// clang-format off
+const PinnedSearch kPinned[] = {
+    {"Sup3x4d24", 3, 4, 24, 11, "", "", 1, kBnb, kMaxMin, 200000, true, false,
+     7654, 38688, 0, 0, "5,1,2,7,0,4,6,3,8,9,10,11",
+     0x3fe9c97fde6b6d70, 0xc01cae24994ef3ee},
+    {"Sup4x4d32", 4, 4, 32, 12, "", "", 1, kBnb, kMaxMin, 200000, true, false,
+     187006, 1194160, 0, 0, "12,8,4,0,13,9,5,1,14,10,6,2,15,11,3,7",
+     0x3fe9fb4672b2ab22, 0xc024f4afb79af7e4},
+    {"Sup4x5d40", 4, 5, 40, 13, "", "", 1, kBnb, kMaxMin, 200000, true, false,
+     183475, 1013481, 0, 0, "0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19",
+     0x3fe9aa61d0404cf6, 0xc0315aacbb228b2a},
+    {"Sup4x4d32.legacy", 4, 4, 32, 12, "", "", 1, kBnb, kMaxMin, 60000, false, false,
+     60001, 286295, 0, 0, "12,8,4,0,13,9,5,1,14,10,6,2,15,11,3,7",
+     0x3fe9fb4672b2ab22, 0xc024f4afb79af7e4},
+    {"Sup4x4d32.warm", 4, 4, 32, 12, "", "", 1, kBnb, kMaxMin, 200000, true, true,
+     170552, 1131963, 0, 0, "0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15",
+     0x3fe9fb4672b2ab22, 0xc021d776af90dcbb},
+    {"Sup3x4d24.product", 3, 4, 24, 11, "", "", 1, kBnb, kProduct, 60000, true, false,
+     60001, 216927, 0, 0, "10,11,7,3,9,6,5,2,8,4,0,1",
+     0x3fe8501d07d1cfd7, 0xc01cae28c84dc489},
+    {"Sup4x5d40.product", 4, 5, 40, 13, "", "", 1, kBnb, kProduct, 60000, true, false,
+     60001, 484420, 0, 0, "10,15,16,17,18,0,5,11,12,13,1,6,7,8,14,2,3,4,9,19",
+     0x3fe1cc0e351167bf, 0xc03c8d4027cbfd73},
+    {"Sup3x4d24.product.legacy", 3, 4, 24, 11, "", "", 1, kBnb, kProduct, 60000, false, false,
+     60001, 212635, 0, 0, "10,11,7,3,9,6,5,2,8,4,0,1",
+     0x3fe8501d07d1cfd7, 0xc01cae28c84dc489},
+    {"Adder.product", 0, 0, 0, 0, "Adder", "IBMQ14", 1, kBnb, kProduct, 2000000, true, false,
+     62, 683, 0, 0, "4,10,3,2",
+     0x3fea90d045805102, 0xbffcbe1b70060305},
+    {"BV8.product", 0, 0, 0, 0, "BV8", "IBMQ14", 1, kBnb, kProduct, 2000000, true, false,
+     145863, 1012775, 0, 0, "2,4,11,5,10,12,1,3",
+     0x3fe869dd837ab5c2, 0xbffb9ef867cebedc},
+    {"Sup4x5d40.greedy", 4, 5, 40, 13, "", "", 1, kGreedy, kMaxMin, 0, true, false,
+     0, 0, 0, 0, "15,10,11,13,19,17,6,1,3,14,16,5,0,2,4,18,12,7,8,9",
+     0x3fde8347648988b2, 0xc045c06b9ec1e8a0},
+    {"Sup4x4d32.greedy.product", 4, 4, 32, 12, "", "", 1, kGreedy, kProduct, 0, true, false,
+     0, 0, 0, 0, "3,2,6,14,1,5,10,15,0,8,9,11,4,12,13,7",
+     0x3fe73f7a156d85a6, 0xc02a437c976f2f6d},
+    {"Sup4x4d32.greedy.warm", 4, 4, 32, 12, "", "", 1, kGreedy, kMaxMin, 0, true, true,
+     0, 0, 0, 0, "0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15",
+     0x3fe9fb4672b2ab22, 0xc021d776af90dcbb},
+    {"BV8.avg.product", 0, 0, 0, 0, "BV8", "IBMQ14", -1, kBnb, kProduct, 2000000, true, false,
+     62588, 442136, 0, 1267, "2,4,11,1,5,10,12,3",
+     0x3fe5e675b53151e6, 0xc00375e78515f8ea},
+    {"QFT.avg", 0, 0, 0, 0, "QFT", "IBMQ5", -1, kBnb, kMaxMin, 2000000, true, false,
+     2, 4, 4, 0, "0,1,2,3",
+     0x3fea1e5bc40f0a1f, 0xc0054ab5e61c6ac4},
+    {"QFT.avg.product", 0, 0, 0, 0, "QFT", "IBMQ5", -1, kBnb, kProduct, 2000000, true, false,
+     24, 24, 18, 0, "0,1,2,3",
+     0x3fea1e5bc40f0a1f, 0xc0054ab5e61c6ac4},
+};
+// clang-format on
+
+Device
+studyDevice(const std::string &name)
+{
+    for (Device &dev : allStudyDevices())
+        if (dev.name() == name)
+            return dev;
+    fatal("no study device named ", name);
+}
+
+std::string
+joinMap(const std::vector<HwQubit> &map)
+{
+    std::string s;
+    for (HwQubit h : map) {
+        if (!s.empty())
+            s += ',';
+        s += std::to_string(h);
+    }
+    return s;
+}
+
+TEST(SearchIdentity, PinnedNodesPlacementsAndValues)
+{
+    for (const PinnedSearch &pc : kPinned) {
+        SCOPED_TRACE(pc.name);
+        Device dev = pc.rows == 0
+                         ? studyDevice(pc.device)
+                         : Device("Grid" + std::to_string(pc.rows * pc.cols),
+                                  Topology::grid(pc.rows, pc.cols),
+                                  GateSet::ibm(), makeIbmQ14().noiseSpec());
+        Calibration calib =
+            pc.day < 0 ? dev.averageCalibration() : dev.calibrate(pc.day);
+        ReliabilityMatrix rel(dev.topology(), calib, dev.vendor());
+        Circuit c = decomposeToCnotBasis(
+            pc.rows == 0 ? makeBenchmark(pc.bench)
+                         : makeSupremacy(pc.rows, pc.cols, pc.depth,
+                                         pc.seed));
+        ProgramInfo info = ProgramInfo::fromCircuit(c);
+        MappingOptions opts = plannerOpts(pc.planner, pc.planner,
+                                          pc.planner);
+        opts.kind = pc.kind;
+        opts.objective = pc.objective;
+        if (pc.nodeBudget > 0)
+            opts.nodeBudget = pc.nodeBudget;
+        if (pc.warm) {
+            opts.warmStart.resize(static_cast<size_t>(info.numProgQubits));
+            std::iota(opts.warmStart.begin(), opts.warmStart.end(), 0);
+        }
+        Mapping m = mapQubits(info, rel, opts);
+        const uint64_t min_bits = std::bit_cast<uint64_t>(m.minReliability);
+        const uint64_t log_bits = std::bit_cast<uint64_t>(m.logProduct);
+        // On a mismatch, print the row as recorded now, so a deliberate
+        // search change can re-record it.
+        char row[96];
+        std::snprintf(row, sizeof(row), "%ld, %ld, %ld, %ld, ",
+                      m.nodesExplored, m.boundPruned, m.symmetryPruned,
+                      m.dominancePruned);
+        char bits[64];
+        std::snprintf(bits, sizeof(bits), "0x%llx, 0x%llx",
+                      static_cast<unsigned long long>(min_bits),
+                      static_cast<unsigned long long>(log_bits));
+        SCOPED_TRACE(std::string("now: ") + row + "\"" +
+                     joinMap(m.progToHw) + "\", " + bits);
+        EXPECT_EQ(m.nodesExplored, pc.nodes);
+        EXPECT_EQ(m.boundPruned, pc.boundPruned);
+        EXPECT_EQ(m.symmetryPruned, pc.symmetryPruned);
+        EXPECT_EQ(m.dominancePruned, pc.dominancePruned);
+        EXPECT_EQ(joinMap(m.progToHw), pc.progToHw);
+        EXPECT_EQ(min_bits, pc.minBits);
+        EXPECT_EQ(log_bits, pc.logBits);
+    }
 }
 
 } // namespace
